@@ -154,7 +154,7 @@ CrashSweepResult run_crash_sweep(std::size_t workers) {
       const fault::FaultInjector injector = transient_injector(s);
       const std::uint64_t before = respawned_counter();
       try {
-        const TuneRun run = tune_once(s, &injector, 0,
+        const TuneRun run = tune_once(s, &injector, /*search_threads=*/1,
                                       static_cast<unsigned>(workers));
         arm.completed = true;
         arm.identical = run.outcome == baseline;
@@ -179,7 +179,7 @@ CrashSweepResult run_crash_sweep(std::size_t workers) {
       arm.isolated = true;
       const std::uint64_t before = respawned_counter();
       try {
-        const TuneRun run = tune_once(s, &sticky, 0,
+        const TuneRun run = tune_once(s, &sticky, /*search_threads=*/1,
                                       static_cast<unsigned>(workers));
         arm.completed = true;
         arm.identical = run.outcome == baseline;

@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
   // --- Crash-safe resume -------------------------------------------------
   // Pretend the process died mid-search: keep the first half of the
   // journal (plus the partial line it was writing) and resume. The
-  // replayed half restores ratings, quarantine records and the backend
-  // snapshot; the live half re-runs with the same injected faults.
+  // replayed half merges the recorded rating deltas (ratings, quarantine
+  // counts, costs); the live half re-runs with the same injected faults.
   std::vector<std::string> lines;
   {
     std::ifstream in(journal);

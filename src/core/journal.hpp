@@ -2,78 +2,38 @@
 
 /// \file journal.hpp
 /// Crash-safe tuning journal: an append-only JSONL log of everything the
-/// tuning driver decided — configurations tried, the ratings they
-/// received, faults observed, quarantine transitions — plus, per
-/// evaluation, a bit-exact snapshot of the evaluator's stochastic state.
-/// A tuning run killed at any point can be resumed from the journal: the
-/// driver replays the recorded evaluations (the deterministic search
-/// re-issues the identical probe sequence, the journal supplies the
-/// recorded ratings without touching the backend), restores the snapshot
-/// of the last record, and continues live — producing a TuningOutcome
-/// bit-identical to the uninterrupted run.
+/// tuning driver decided — configurations tried and, per evaluation, the
+/// RatingDelta its rating produced (R value, memo entries, quarantine
+/// counts, fault events, counter advances, simulated-cycle costs). A
+/// tuning run killed at any point can be resumed from the journal: the
+/// deterministic search re-issues the identical probe sequence, and the
+/// driver merges the recorded deltas through the same merge step a live
+/// rating goes through instead of measuring, then continues live —
+/// producing a TuningOutcome bit-identical to the uninterrupted run.
 ///
 /// Doubles are serialized as 16-hex-digit IEEE-754 bit patterns, never as
 /// decimal text, so a round trip through the journal is exact.
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "fault/fault.hpp"
-#include "fault/guarded_executor.hpp"
-#include "sim/exec_backend.hpp"
+#include "core/rating_delta.hpp"
 
 namespace peak::core {
 
-/// One recorded relative_improvement() evaluation, with the state deltas
-/// replay needs (memoized ratings, validated configs, quarantine failure
-/// counts) and the full post-evaluation snapshot.
+/// One recorded evaluation: the (base, candidate) pair the search asked
+/// about and the delta its rating produced. The first record of a batch
+/// also carries the delta of the batch's prologue (the base rating);
+/// replay merges the two separately, prologue first, in the order the
+/// live path merged them.
 struct JournalEval {
   std::string base_key;
   std::string cfg_key;
-  double r = 0.0;
-
-  /// rate_time memo entries added during this evaluation.
-  std::vector<std::pair<std::string, double>> memo_added;
-  /// Config keys that passed output validation during this evaluation.
-  std::vector<std::string> validated_added;
-
-  /// Post-evaluation quarantine state of every key touched during this
-  /// evaluation (absolute counts, so replay is idempotent).
-  struct FailDelta {
-    std::string key;
-    fault::FaultKind kind = fault::FaultKind::kNone;
-    std::size_t failures = 0;
-    bool quarantined = false;
-  };
-  std::vector<FailDelta> fails;
-
-  /// Ratings completed during this evaluation, in order: whether each
-  /// converged and how many window samples it consumed. Replay feeds
-  /// these into the obs registry so a resumed run's rating.* counters and
-  /// window-occupancy histogram match the uninterrupted run, instead of
-  /// silently restarting from zero.
-  struct RatingObs {
-    bool converged = false;
-    std::uint64_t samples = 0;
-  };
-  std::vector<RatingObs> ratings_observed;
-
-  /// Bit-exact evaluator state after this evaluation. Replay restores the
-  /// snapshot of the last recorded evaluation only; earlier snapshots are
-  /// dead weight kept for debuggability.
-  struct Snapshot {
-    sim::SimExecutionBackend::Snapshot backend;
-    std::size_t cursor = 0;
-    std::size_t invocations = 0;
-    std::size_t evaluations = 0;
-    std::size_t ratings = 0;
-    std::size_t exhausted = 0;
-    double whole_program_surcharge = 0.0;
-  };
-  Snapshot snap;
+  std::optional<RatingDelta> prologue;
+  RatingDelta delta;
 };
 
 /// The evaluations of one tune(method) call, in order.
@@ -93,11 +53,10 @@ public:
   /// A tune(method) call is starting a fresh (non-replayed) segment.
   void start_segment(const std::string& method);
 
-  void record_eval(const JournalEval& eval);
-
-  /// Informational fault record (replay derives everything it needs from
-  /// the eval records; fault lines are for humans and the obs exporters).
-  void record_fault(const fault::FaultEvent& event);
+  /// Append one evaluation record. `prologue` (may be null) is the delta
+  /// of the batch's base rating, carried by the batch's first record.
+  void record_eval(const std::string& base_key, const std::string& cfg_key,
+                   const RatingDelta* prologue, const RatingDelta& delta);
 
   [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
   [[nodiscard]] const std::string& path() const { return path_; }

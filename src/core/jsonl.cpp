@@ -8,15 +8,12 @@
 
 namespace peak::core::jsonl {
 
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 std::string hex_double(double d) {
-  return hex_u64(std::bit_cast<std::uint64_t>(d));
+  char buf[17];
+  std::snprintf(
+      buf, sizeof buf, "%016llx",
+      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(d)));
+  return buf;
 }
 
 std::string quote(const std::string& s) {

@@ -22,9 +22,6 @@
 
 namespace peak::core::jsonl {
 
-/// 16-hex-digit rendering of a 64-bit value (zero padded, lowercase).
-[[nodiscard]] std::string hex_u64(std::uint64_t v);
-
 /// IEEE-754 bit pattern of `d` as 16 hex digits — the exact-round-trip
 /// double encoding every PEAK record uses.
 [[nodiscard]] std::string hex_double(double d);

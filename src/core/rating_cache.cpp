@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <fstream>
-#include <sstream>
 
 #include "core/jsonl.hpp"
 #include "obs/metrics.hpp"
@@ -16,10 +15,8 @@ namespace peak::core {
 
 namespace {
 
-using jsonl::hex_double;
 using jsonl::JsonParser;
 using jsonl::JsonValue;
-using jsonl::quote;
 
 struct CacheMetrics {
   obs::Counter& hits = obs::counter("search.cache.hit");
@@ -49,76 +46,6 @@ bool full_write(int fd, const std::string& data) {
   return true;
 }
 
-std::string render_entry(const std::string& key,
-                         const RatingCacheEntry& e) {
-  std::ostringstream os;
-  os << "{\"type\":\"rating\",\"key\":" << quote(key)
-     << ",\"r\":" << quote(hex_double(e.r));
-  if (!e.memo_added.empty()) {
-    os << ",\"memo\":[";
-    for (std::size_t i = 0; i < e.memo_added.size(); ++i)
-      os << (i ? "," : "") << "{\"k\":" << quote(e.memo_added[i].first)
-         << ",\"v\":" << quote(hex_double(e.memo_added[i].second)) << "}";
-    os << "]";
-  }
-  if (!e.rating_obs.empty()) {
-    os << ",\"robs\":[";
-    for (std::size_t i = 0; i < e.rating_obs.size(); ++i)
-      os << (i ? "," : "") << "{\"c\":"
-         << (e.rating_obs[i].converged ? "true" : "false")
-         << ",\"s\":" << e.rating_obs[i].samples << "}";
-    os << "]";
-  }
-  os << ",\"inv\":" << e.invocations << ",\"rs\":" << e.ratings_started
-     << ",\"rx\":" << e.exhausted
-     << ",\"whl\":" << quote(hex_double(e.whole_program_surcharge));
-  const sim::SimExecutionBackend::CostDeltas& c = e.cost;
-  os << ",\"cost\":{\"acc\":" << quote(hex_double(c.accumulated))
-     << ",\"timed\":" << quote(hex_double(c.timed))
-     << ",\"pre\":" << quote(hex_double(c.precondition))
-     << ",\"ckpt\":" << quote(hex_double(c.checkpoint))
-     << ",\"faulted\":" << quote(hex_double(c.faulted))
-     << ",\"retry\":" << quote(hex_double(c.retry))
-     << ",\"saves\":" << c.saves << ",\"restores\":" << c.restores
-     << ",\"ckpt_bytes\":" << c.checkpoint_bytes << "}";
-  if (e.mbr_residual.has_value())
-    os << ",\"mbr\":" << quote(hex_double(*e.mbr_residual));
-  os << "}";
-  return os.str();
-}
-
-RatingCacheEntry parse_entry(const JsonValue& j) {
-  RatingCacheEntry e;
-  e.r = j.at("r").as_hex_double();
-  if (j.has("memo"))
-    for (const JsonValue& m : j.at("memo").as_array())
-      e.memo_added.emplace_back(m.at("k").as_string(),
-                                m.at("v").as_hex_double());
-  if (j.has("robs"))
-    for (const JsonValue& o : j.at("robs").as_array()) {
-      RatingCacheEntry::RatingObs obs;
-      obs.converged = o.at("c").as_bool();
-      obs.samples = o.at("s").as_u64();
-      e.rating_obs.push_back(obs);
-    }
-  e.invocations = j.at("inv").as_u64();
-  e.ratings_started = j.at("rs").as_u64();
-  e.exhausted = j.at("rx").as_u64();
-  e.whole_program_surcharge = j.at("whl").as_hex_double();
-  const JsonValue& c = j.at("cost");
-  e.cost.accumulated = c.at("acc").as_hex_double();
-  e.cost.timed = c.at("timed").as_hex_double();
-  e.cost.precondition = c.at("pre").as_hex_double();
-  e.cost.checkpoint = c.at("ckpt").as_hex_double();
-  e.cost.faulted = c.at("faulted").as_hex_double();
-  e.cost.retry = c.at("retry").as_hex_double();
-  e.cost.saves = c.at("saves").as_u64();
-  e.cost.restores = c.at("restores").as_u64();
-  e.cost.checkpoint_bytes = c.at("ckpt_bytes").as_u64();
-  if (j.has("mbr")) e.mbr_residual = j.at("mbr").as_hex_double();
-  return e;
-}
-
 }  // namespace
 
 RatingCache::RatingCache(std::string path) : path_(std::move(path)) {
@@ -141,7 +68,7 @@ RatingCache::RatingCache(std::string path) : path_(std::move(path)) {
             record.at("type").as_string() != "rating")
           continue;  // unknown record type: forward-compat, not damage
         entries_.emplace(record.at("key").as_string(),
-                         parse_entry(record));
+                         RatingDelta::decode(record));
       } catch (const std::exception&) {
         // std::exception, not just CheckError: a flipped bit inside a
         // hex field surfaces as std::invalid_argument from stoull.
@@ -158,7 +85,7 @@ RatingCache::~RatingCache() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::optional<RatingCacheEntry> RatingCache::lookup(
+std::optional<RatingDelta> RatingCache::lookup(
     const std::string& key) const {
   std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
@@ -170,11 +97,14 @@ std::optional<RatingCacheEntry> RatingCache::lookup(
   return it->second;
 }
 
-void RatingCache::store(const std::string& key,
-                        const RatingCacheEntry& entry) {
+void RatingCache::store(const std::string& key, const RatingDelta& delta) {
   std::lock_guard lock(mutex_);
-  if (!entries_.emplace(key, entry).second) return;
-  const std::string line = render_entry(key, entry) + "\n";
+  if (!entries_.emplace(key, delta).second) return;
+  // The delta's fields sit at the record's top level, next to its type
+  // and key, which keeps the line layout of every existing cache file.
+  const std::string line = "{\"type\":\"rating\",\"key\":" +
+                           jsonl::quote(key) + "," +
+                           delta.encode().substr(1) + "\n";
   // flock serializes whole-line appends against every other writer —
   // other processes, and other RatingCache instances in this process
   // (flock is per open file description, and each instance holds its

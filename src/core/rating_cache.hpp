@@ -9,8 +9,9 @@
 /// value plus every state delta it caused: memo entries, rating
 /// observations, counter advances, simulated-cycle costs) can be keyed by
 /// a digest of them and replayed from disk on any later run that asks the
-/// same question. The file is append-only JSONL (same dialect as the
-/// tuning journal, see core/jsonl.hpp) shared across rounds, sections,
+/// same question. The file is append-only JSONL — one RatingDelta per
+/// line, in the encoding the journal and the worker transports share
+/// (core/rating_delta.hpp) — shared across rounds, sections,
 /// and repeated runs; a warm rerun applies cached deltas instead of
 /// simulating, which makes it near-instant while still producing a
 /// bit-identical TuningOutcome (costs included — tuning cost is part of
@@ -20,40 +21,14 @@
 /// verdicts depend on state that is not part of the key (attempt numbers,
 /// quarantine history), so cached ratings would be unsound there.
 
-#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
-#include "sim/exec_backend.hpp"
+#include "core/rating_delta.hpp"
 
 namespace peak::core {
-
-/// Everything one batched candidate rating did to the evaluator, in
-/// position-independent form. Applying an entry at merge time is
-/// indistinguishable from having run the rating live.
-struct RatingCacheEntry {
-  double r = 0.0;
-  /// rate_time memo entries added (key → EVAL).
-  std::vector<std::pair<std::string, double>> memo_added;
-  /// Per-rating observations (converged?, window samples), in order.
-  struct RatingObs {
-    bool converged = false;
-    std::uint64_t samples = 0;
-  };
-  std::vector<RatingObs> rating_obs;
-  std::uint64_t invocations = 0;
-  std::uint64_t ratings_started = 0;
-  std::uint64_t exhausted = 0;
-  double whole_program_surcharge = 0.0;
-  /// Simulated-cycle cost of the rating, per phase.
-  sim::SimExecutionBackend::CostDeltas cost;
-  /// Last MBR regression residual the rating reported (MBR only).
-  std::optional<double> mbr_residual;
-};
 
 /// Append-only on-disk cache, keyed by 128-bit content digests rendered
 /// as 32 hex digits. Opening loads every complete record into memory
@@ -74,13 +49,14 @@ public:
   RatingCache(const RatingCache&) = delete;
   RatingCache& operator=(const RatingCache&) = delete;
 
-  /// Entry for `key`, if present. Bumps `search.cache.hit` / `.miss`.
-  [[nodiscard]] std::optional<RatingCacheEntry> lookup(
+  /// Delta stored under `key`, if present. Bumps `search.cache.hit` /
+  /// `.miss`.
+  [[nodiscard]] std::optional<RatingDelta> lookup(
       const std::string& key) const;
 
   /// Insert and append to disk (first writer wins; a duplicate store of
   /// the same key keeps the existing entry). Bumps `search.cache.store`.
-  void store(const std::string& key, const RatingCacheEntry& entry);
+  void store(const std::string& key, const RatingDelta& delta);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const std::string& path() const { return path_; }
@@ -88,7 +64,7 @@ public:
 private:
   std::string path_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, RatingCacheEntry> entries_;
+  std::unordered_map<std::string, RatingDelta> entries_;
   /// POSIX fd (O_WRONLY | O_APPEND): flock() needs a file descriptor and
   /// O_APPEND makes each single write() land atomically at the current
   /// end of file — std::ofstream exposes neither guarantee.

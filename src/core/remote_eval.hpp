@@ -76,7 +76,7 @@ struct RemoteMemberTask {
 /// Worker-side rating host: owns one reconstructed scenario (workload,
 /// trace, profile, machine, effect model, driver) and rates member tasks
 /// through the exact batch-member code path the in-process driver uses,
-/// returning the serialized member delta (the `proc` wire format) the
+/// returning the encoded RatingDelta (core/rating_delta.hpp) the
 /// coordinator merges. Construction does the expensive part (profiling);
 /// rate() is then cheap per task. Throws support::CheckError for an
 /// unknown benchmark/machine/dataset.
@@ -88,7 +88,7 @@ public:
   RemoteRatingHost(const RemoteRatingHost&) = delete;
   RemoteRatingHost& operator=(const RemoteRatingHost&) = delete;
 
-  /// Serialized member delta for one task (see
+  /// Encoded RatingDelta for one task (see
   /// TuningDriver::rate_remote_member).
   [[nodiscard]] std::string rate(const RemoteMemberTask& task);
 

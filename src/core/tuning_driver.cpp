@@ -9,14 +9,13 @@
 #include <cstdio>
 #include <optional>
 #include <set>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "analysis/instrumentation.hpp"
 #include "core/journal.hpp"
 #include "core/jsonl.hpp"
 #include "core/rating_cache.hpp"
+#include "core/rating_delta.hpp"
 #include "core/remote_eval.hpp"
 #include "dist/coordinator.hpp"
 #include "obs/attribution.hpp"
@@ -56,19 +55,15 @@ struct DriverMetrics {
   }
 };
 
-/// Raised when a rating method cannot produce any estimate within its
-/// sample budget; tune_auto() responds by switching down the method chain
-/// (paper Section 3).
-struct RatingNotConverging : std::runtime_error {
-  explicit RatingNotConverging(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
 }  // namespace
 
-/// Rates configurations with one method over a shared invocation stream.
-/// The stream cursor advances monotonically across ratings, modelling the
-/// application continuing to run while versions are swapped in and out.
+/// Rates configurations with one method. Every rating is a batch member:
+/// its measurement stream is reseeded from (seed, base, candidate), it
+/// runs on a per-slot backend clone against frozen shared state, and all
+/// it changes comes back as a RatingDelta that is merged in canonical
+/// candidate order. The outcome therefore does not depend on the slot
+/// count, the transport (threads, forked workers, TCP fleet), cache hits
+/// or a resume.
 class TuningDriver::Evaluator final : public search::ConfigEvaluator {
 public:
   Evaluator(const TuningDriver& driver, rating::Method method,
@@ -87,91 +82,21 @@ public:
         quarantine_(quarantine),
         journal_(journal),
         replay_(replay) {
-    // Distributed rating is a transport for the batch contract, not the
-    // fault layer: injector verdicts depend on coordinator-side retry and
-    // quarantine state a remote rating cannot reproduce, and process
-    // isolation already has its own fan-out. Refuse the combinations
-    // instead of silently measuring something else.
-    PEAK_CHECK(driver.options_.coordinator == nullptr ||
-                   driver.options_.fault.injector == nullptr,
-               "distributed tuning cannot run with a fault injector");
-    PEAK_CHECK(driver.options_.coordinator == nullptr ||
-                   driver.options_.isolate_workers == 0,
-               "distributed tuning excludes isolate_workers");
-    // Basic RBR saves the full input set; improved RBR saves the
-    // range-analysis-narrowed Modified_Input slices.
-    backend_.set_checkpoint_bytes(
-        driver.profile_.input_sets.input_bytes(fn),
-        driver.profile_.checkpoint_plan.bytes(fn));
-    if (driver.options_.fault.injector != nullptr) {
-      backend_.set_fault_injector(driver.options_.fault.injector);
-      if (driver.options_.fault.guard_execution) {
-        guard_.emplace(backend_, quarantine_,
-                       driver.options_.fault.guard);
-        guard_->set_on_fault([this](const fault::FaultEvent& ev) {
-          pending_fail_keys_.insert(ev.config_key);
-          if (journal_ != nullptr) journal_->record_fault(ev);
-        });
-      }
-    }
-    // The persistent rating cache is sound only for batch-semantics
-    // ratings (content-seeded streams) without a fault injector
-    // (injector verdicts depend on attempt/quarantine state that is not
-    // part of the key).
-    if (driver.options_.rating_cache != nullptr && batched() &&
+    // The persistent rating cache is unsound under a fault injector:
+    // injector verdicts depend on attempt/quarantine state that is not
+    // part of the key.
+    if (driver.options_.rating_cache != nullptr &&
         driver.options_.fault.injector == nullptr) {
       cache_ = driver.options_.rating_cache;
       init_cache_fingerprint();
     }
   }
 
+  /// A search that asks for one config at a time gets a singleton batch,
+  /// so stream seeding, caching and journaling are uniform.
   double relative_improvement(const search::FlagConfig& base,
                               const search::FlagConfig& cfg) override {
-    // A pending SIGINT/SIGTERM surfaces here, between ratings — the last
-    // journaled evaluation is complete, so a later --resume run replays
-    // up to exactly this point.
-    support::check_shutdown();
-    // Batch mode funnels *every* rating through the batch machinery (as a
-    // singleton batch when a search asks for one config at a time), so
-    // stream seeding, caching, and journaling are uniform. rate_batch()
-    // does its own replay check.
-    if (batched())
-      return rate_batch(base, std::vector<search::FlagConfig>{cfg}).front();
-    if (replay_ != nullptr && replay_pos_ < replay_->evals.size())
-      return replay_eval(base, cfg);
-    // Counted at entry so an attempt abandoned mid-rating (see
-    // RatingNotConverging) is still accounted, keeping the registry
-    // counter equal to cost().configs_evaluated on every path.
-    ++evaluations_;
-    DriverMetrics::get().configs_evaluated.inc();
-    obs::ScopedSpan span("rate", "rating");
-    if (span.active())
-      span.add(obs::attr("method", rating::to_string(method_)));
-    pending_memo_.clear();
-    pending_validated_.clear();
-    pending_fail_keys_.clear();
-    pending_rating_obs_.clear();
-    // Deadlines and backoff are priced off the current best version.
-    if (guard_) guard_->set_reference(base);
-    double r = 0.0;
-    try {
-      if (method_ == rating::Method::kRBR) {
-        r = rbr_ratio(base, cfg);
-      } else {
-        const double e_base = rate_time(base);
-        const double e_cfg = rate_time(cfg);
-        PEAK_CHECK(e_cfg > 0.0, "non-positive rating");
-        r = e_base / e_cfg;
-      }
-      maybe_validate(cfg, r);
-    } catch (const fault::ConfigFailed&) {
-      // The configuration cannot be measured: quarantined, retry budget
-      // exhausted, or miscompiled. Report "no improvement" so the search
-      // moves on; excluded() keeps it from ever being probed again.
-      r = 0.0;
-    }
-    record_eval(base, cfg, r);
-    return r;
+    return rate_batch(base, std::vector<search::FlagConfig>{cfg}).front();
   }
 
   /// Quarantined configurations are hard-excluded: the search emits a
@@ -180,23 +105,19 @@ public:
     return quarantine_.contains(cfg.key());
   }
 
-  [[nodiscard]] bool batched() const override {
-    return driver_.options_.search_threads >= 1 ||
-           driver_.options_.isolate_workers >= 1 ||
-           driver_.options_.coordinator != nullptr;
-  }
+  [[nodiscard]] bool batched() const override { return true; }
 
-  /// Batch-semantics evaluation of one probe round. Every candidate is a
-  /// pure function of (seed, base, candidate): its measurement stream is
-  /// reseeded from that content and it runs on a per-slot backend clone,
-  /// so results do not depend on thread count, scheduling, or position in
-  /// the batch. Members are merged on the calling thread in canonical
-  /// candidate order, which makes the TuningOutcome, event stream, and
-  /// journal bit-identical for every search_threads >= 1.
+  /// Rate one probe round. Every candidate is a pure function of (seed,
+  /// base, candidate), so results do not depend on the slot count,
+  /// scheduling, or position in the batch; members merge on the calling
+  /// thread in canonical candidate order, which makes the TuningOutcome,
+  /// event stream, and journal bit-identical for every search_threads.
   std::vector<double> rate_batch(
       const search::FlagConfig& base,
       const std::vector<search::FlagConfig>& candidates) override {
-    if (!batched()) return ConfigEvaluator::rate_batch(base, candidates);
+    // A pending SIGINT/SIGTERM surfaces here, between rounds — the last
+    // journaled evaluation is complete, so a later --resume run replays
+    // up to exactly this point.
     support::check_shutdown();
     std::vector<double> out;
     out.reserve(candidates.size());
@@ -241,106 +162,49 @@ public:
       prologue->seed = member_seed(base, base, /*prologue=*/true);
     }
 
-    // Cache lookups happen up front on the calling thread; hits are
-    // normalized into regular member outputs so the merge loop below does
-    // not care where a result came from.
+    // Cache lookups happen up front on the calling thread; a hit is the
+    // member's delta, so the merge loop below does not care where a
+    // result came from.
     if (cache_ != nullptr) {
       const auto t0 = std::chrono::steady_clock::now();
-      if (prologue) {
-        prologue->cache_key = make_cache_key(base, base, /*prologue=*/true);
-        load_cached(*prologue);
-      }
-      for (MemberState& m : members) {
-        m.cache_key = make_cache_key(base, *m.cfg, /*prologue=*/false);
-        load_cached(m);
-      }
+      if (prologue) load_cached(*prologue);
+      for (MemberState& m : members) load_cached(m);
       cache_wall_us_ += std::chrono::duration<double, std::micro>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
     }
 
-    ensure_slots(1);
-    if (prologue && !prologue->from_cache) {
-      if (driver_.options_.coordinator != nullptr) {
-        // The base rating ships to the fleet too, before the candidate
-        // round, so every member still sees the frozen memo entry.
-        run_members_remote({&*prologue});
-      } else if (driver_.options_.isolate_workers >= 1) {
-        // The base rating runs isolated too — it is just as capable of
-        // taking a process down as any candidate.
-        run_members_isolated({&*prologue});
-      } else {
-        prologue->backend = slots_[0].get();
-        run_member(*prologue);
-      }
-    }
     if (prologue) {
-      merge_member(*prologue);
+      if (!prologue->from_cache) run_members({&*prologue});
+      merge(prologue->delta);
       maybe_store(*prologue);
-      if (prologue->error) {
+      if (prologue->delta.error) {
         // The base itself cannot be rated: account the first candidate's
-        // evaluation (the serial path counts it at entry before the base
-        // rating throws) and let tune() abandon the method.
+        // evaluation and let tune() abandon the method.
         ++evaluations_;
         DriverMetrics::get().configs_evaluated.inc();
-        std::rethrow_exception(prologue->error);
+        std::rethrow_exception(prologue->delta.error);
       }
     }
 
-    // Fan the non-cached members out over the pool, slot-scheduled so the
-    // item → backend-clone mapping is a pure function of the batch shape.
-    std::vector<std::size_t> to_run;
-    for (std::size_t i = 0; i < members.size(); ++i)
-      if (!members[i].from_cache) to_run.push_back(i);
-    const unsigned threads = driver_.options_.search_threads;
-    if (driver_.options_.coordinator != nullptr) {
-      std::vector<MemberState*> targets;
-      targets.reserve(to_run.size());
-      for (std::size_t i : to_run) targets.push_back(&members[i]);
-      run_members_remote(targets);
-    } else if (driver_.options_.isolate_workers >= 1) {
-      std::vector<MemberState*> targets;
-      targets.reserve(to_run.size());
-      for (std::size_t i : to_run) targets.push_back(&members[i]);
-      run_members_isolated(targets);
-    } else if (threads <= 1 || to_run.size() <= 1) {
-      for (std::size_t i : to_run) {
-        members[i].backend = slots_[0].get();
-        run_member(members[i]);
-      }
-    } else {
-      const std::size_t slots =
-          std::min<std::size_t>(threads, to_run.size());
-      ensure_slots(slots);
-      if (pool_ == nullptr)
-        pool_ = std::make_unique<support::ThreadPool>(threads);
-      // Workers adopt the submitting thread's attribution path so their
-      // costs land on the same machine/benchmark/section/method node.
-      const std::vector<std::string> path = obs::attribution_path();
-      pool_->slotted_for(
-          to_run.size(), slots, [&](std::size_t j, std::size_t slot) {
-            obs::AttributionPathScope scope(path);
-            MemberState& m = members[to_run[j]];
-            m.backend = slots_[slot].get();
-            run_member(m);  // never throws: errors land in m.error
-          });
-    }
+    std::vector<MemberState*> to_run;
+    for (MemberState& m : members)
+      if (!m.from_cache) to_run.push_back(&m);
+    run_members(to_run);
 
-    // Canonical merge, in candidate order. Every member ran to completion
-    // before this loop (on every thread count), so the global state both
-    // paths produced is identical; a member's error is rethrown only
-    // after its own (partial) deltas are applied, exactly like the serial
-    // path abandoning mid-rating.
-    const MemberState* pro = prologue ? &*prologue : nullptr;
+    // Canonical merge, in candidate order. A member's error is rethrown
+    // only after its own (partial) delta is applied.
+    const RatingDelta* pro = prologue ? &prologue->delta : nullptr;
     for (MemberState& m : members) {
-      merge_member(m);
+      merge(m.delta);
       ++evaluations_;
       DriverMetrics::get().configs_evaluated.inc();
-      if (m.error) std::rethrow_exception(m.error);
-      record_member_eval(m, pro);
+      if (m.delta.error) std::rethrow_exception(m.delta.error);
+      if (journal_ != nullptr)
+        journal_->record_eval(m.base->key(), m.cfg->key(), pro, m.delta);
       pro = nullptr;  // the prologue rides along on the first record only
       maybe_store(m);
-      out.push_back(m.r);
+      out.push_back(m.delta.r);
     }
     return out;
   }
@@ -371,15 +235,15 @@ public:
     ensure_slots(1);
     m.backend = slots_[0].get();
     run_member(m);
-    return serialize_member(m);
+    return m.delta.encode();
   }
 
   /// Fold this evaluator's per-phase simulated-cycle attribution into
   /// the global metrics registry and the cost ledger (under the caller's
   /// attribution path — tune() has machine/benchmark/section/method
   /// scopes open). Called once, after the search ends; on a resumed run
-  /// the restored breakdown already contains the replayed cycles, so the
-  /// ledger of a resumed run matches the uninterrupted one.
+  /// the replayed deltas already merged their cycles, so the ledger of a
+  /// resumed run matches the uninterrupted one.
   void publish_costs() const {
     const sim::SimExecutionBackend::CycleBreakdown& b =
         backend_.breakdown();
@@ -439,281 +303,11 @@ public:
   }
 
 private:
-  const sim::Invocation& next_invocation() {
-    const auto& invs = driver_.trace_.invocations;
-    const sim::Invocation& inv = invs[cursor_];
-    cursor_ = (cursor_ + 1) % invs.size();
-    ++invocations_;
-    DriverMetrics::get().invocations.inc();
-    return inv;
-  }
-
-  /// Measurement entry points: guarded when fault tolerance is on,
-  /// the raw backend otherwise (bit-identical to the fault-oblivious
-  /// driver — the guard is not even constructed).
-  sim::InvocationResult measure(const search::FlagConfig& cfg,
-                                const sim::Invocation& inv) {
-    return guard_ ? guard_->invoke(cfg, inv) : backend_.invoke(cfg, inv);
-  }
-  std::vector<sim::RbrPairResult> measure_rbr(
-      const search::FlagConfig& best, const search::FlagConfig& exp,
-      const sim::Invocation& inv, const sim::RbrOptions& opts) {
-    return guard_ ? guard_->invoke_rbr_batch(best, exp, inv, opts)
-                  : backend_.invoke_rbr_batch(best, exp, inv, opts);
-  }
-
-  /// Validate the output digest of an improving configuration before the
-  /// search may adopt it. Throws fault::ConfigFailed on a miscompile
-  /// (which also quarantines the config).
-  void maybe_validate(const search::FlagConfig& cfg, double r) {
-    if (!guard_ || !driver_.options_.fault.validate_improvements) return;
-    if (r <= 1.0) return;
-    const std::string key = cfg.key();
-    if (validated_.count(key) != 0) return;
-    guard_->validate(cfg, next_invocation());
-    validated_.insert(key);
-    pending_validated_.push_back(key);
-  }
-
-  /// Append this evaluation (rating, state deltas, post-state snapshot)
-  /// to the journal.
-  void record_eval(const search::FlagConfig& base,
-                   const search::FlagConfig& cfg, double r) {
-    if (journal_ == nullptr) return;
-    JournalEval e;
-    e.base_key = base.key();
-    e.cfg_key = cfg.key();
-    e.r = r;
-    e.memo_added = std::move(pending_memo_);
-    e.validated_added = std::move(pending_validated_);
-    for (const std::string& key : pending_fail_keys_) {
-      const auto it = quarantine_.entries().find(key);
-      if (it == quarantine_.entries().end()) continue;
-      JournalEval::FailDelta d;
-      d.key = key;
-      d.kind = it->second.kind;
-      d.failures = it->second.failures;
-      d.quarantined = it->second.quarantined;
-      e.fails.push_back(std::move(d));
-    }
-    e.snap.backend = backend_.snapshot_state();
-    e.snap.cursor = cursor_;
-    e.snap.invocations = invocations_;
-    e.snap.evaluations = evaluations_;
-    e.snap.ratings = ratings_;
-    e.snap.exhausted = exhausted_;
-    e.snap.whole_program_surcharge = whole_program_surcharge_;
-    e.ratings_observed = std::move(pending_rating_obs_);
-    journal_->record_eval(e);
-    pending_memo_.clear();
-    pending_validated_.clear();
-    pending_fail_keys_.clear();
-    pending_rating_obs_.clear();
-  }
-
-  /// Replay one recorded evaluation: return the recorded rating without
-  /// touching the backend, re-apply the state deltas, and restore the
-  /// bit-exact post-evaluation snapshot. Once the recorded evaluations
-  /// run out the very next call measures live — from exactly the state
-  /// the interrupted run was in.
-  double replay_eval(const search::FlagConfig& base,
-                     const search::FlagConfig& cfg) {
-    static obs::Counter& replayed = obs::counter("journal.replayed");
-    const JournalEval& e = replay_->evals[replay_pos_++];
-    PEAK_CHECK(e.base_key == base.key() && e.cfg_key == cfg.key(),
-               "journal does not match this tuning run (stale journal, or "
-               "different seed/options)");
-    for (const auto& [key, eval] : e.memo_added) memo_.emplace(key, eval);
-    for (const std::string& key : e.validated_added) validated_.insert(key);
-    for (const JournalEval::FailDelta& d : e.fails) {
-      quarantine_.restore_failures(d.key, d.kind, d.failures);
-      if (d.quarantined) quarantine_.quarantine(d.key, d.kind);
-    }
-    backend_.restore_state(e.snap.backend);
-    // Metric continuity: a resumed run must report the same rating.* /
-    // search.* registry values as the uninterrupted one, so the global
-    // counters advance by exactly what this recorded evaluation consumed
-    // (the snapshot fields are absolute; the members still hold the
-    // previous record's values, making the subtraction a delta).
-    DriverMetrics& m = DriverMetrics::get();
-    m.invocations.inc(e.snap.invocations - invocations_);
-    m.configs_evaluated.inc(e.snap.evaluations - evaluations_);
-    if (!e.ratings_observed.empty()) {
-      for (const JournalEval::RatingObs& o : e.ratings_observed) {
-        m.ratings_started.inc();
-        observe_rating(o.converged, o.samples);
-      }
-      pending_rating_obs_.clear();  // observe_rating() re-collected them
-    } else {
-      // Journal predates per-rating observations: restore the tallies
-      // from the snapshot deltas (the window histogram stays short).
-      const std::size_t started = e.snap.ratings - ratings_;
-      const std::size_t exhausted = e.snap.exhausted - exhausted_;
-      m.ratings_started.inc(started);
-      m.ratings_exhausted.inc(exhausted);
-      m.ratings_converged.inc(started - exhausted);
-    }
-    cursor_ = e.snap.cursor;
-    invocations_ = e.snap.invocations;
-    evaluations_ = e.snap.evaluations;
-    ratings_ = e.snap.ratings;
-    exhausted_ = e.snap.exhausted;
-    whole_program_surcharge_ = e.snap.whole_program_surcharge;
-    replayed.inc();
-    return e.r;
-  }
-
-  /// Per-rating metrics: convergence tally plus window occupancy; also
-  /// collected per evaluation for the journal, so replay can restore the
-  /// registry exactly.
-  void observe_rating(bool converged, std::size_t samples) {
-    DriverMetrics& m = DriverMetrics::get();
-    (converged ? m.ratings_converged : m.ratings_exhausted).inc();
-    m.window_occupancy.observe(static_cast<double>(samples));
-    pending_rating_obs_.push_back(
-        {converged, static_cast<std::uint64_t>(samples)});
-  }
-
-  double rbr_ratio(const search::FlagConfig& base,
-                   const search::FlagConfig& cfg) {
-    ++ratings_;
-    DriverMetrics::get().ratings_started.inc();
-    rating::ReexecutionRater rater(driver_.options_.window);
-    sim::RbrOptions rbr_opts;
-    rbr_opts.improved = driver_.options_.improved_rbr;
-    rbr_opts.batch_pairs = driver_.options_.rbr_batch_pairs;
-    while (!rater.converged() && !rater.exhausted()) {
-      const sim::Invocation& inv = next_invocation();
-      for (const sim::RbrPairResult& pair :
-           measure_rbr(base, cfg, inv, rbr_opts)) {
-        rater.add_pair(pair.time_best, pair.time_exp);
-        if (rater.converged() || rater.exhausted()) break;
-      }
-    }
-    if (!rater.converged()) ++exhausted_;
-    const rating::Rating r = rater.rating();
-    observe_rating(rater.converged(), r.samples);
-    // Significance gate: with very noisy sections (EQUAKE's irregular
-    // memory) the window may cap out with a standard error comparable to
-    // the search's improvement threshold; reporting a statistically
-    // insignificant ratio would let noise eliminate useful options (the
-    // paper's "if the rating is inaccurate, the tuning system will yield
-    // limited performance or even degradation"). Below 3 SEM the verdict
-    // is "no measurable difference".
-    const double sem =
-        r.samples > 0 ? std::sqrt(r.var / static_cast<double>(r.samples))
-                      : 0.0;
-    if (std::fabs(r.eval - 1.0) < 3.0 * sem) return 1.0;
-    return r.eval;
-  }
-
-  /// Time-like EVAL of one configuration, memoized by config key.
-  double rate_time(const search::FlagConfig& cfg) {
-    const std::string key = cfg.key();
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    ++ratings_;
-    DriverMetrics::get().ratings_started.inc();
-
-    double eval = 0.0;
-    switch (method_) {
-      case rating::Method::kCBR: {
-        rating::ContextBasedRater rater(driver_.options_.window);
-        // With many contexts only a fraction of invocations feed the
-        // dominant bucket, so the stream budget scales with the context
-        // count (capped) — this is exactly why forcing CBR onto a
-        // many-context section (MGRID_CBR) wastes tuning time.
-        const std::size_t budget =
-            driver_.options_.window.max_samples *
-            std::clamp<std::size_t>(driver_.profile_.num_contexts, 1, 50);
-        while (!rater.converged() && rater.total_samples() < budget) {
-          const sim::Invocation& inv = next_invocation();
-          rater.add(inv.context, measure(cfg, inv).time);
-        }
-        if (!rater.converged()) ++exhausted_;
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kMBR: {
-        rating::ModelBasedRater rater(
-            driver_.profile_.components.num_components(),
-            driver_.profile_.mbr_profile, driver_.options_.mbr);
-        while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation();
-          const sim::InvocationResult r = measure(cfg, inv);
-          std::vector<double> counts(r.counters->begin(), r.counters->end());
-          counts.push_back(1.0);  // constant component
-          rater.add(counts, r.time);
-        }
-        if (!rater.converged()) ++exhausted_;
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        // r.var carries the fit's unexplained-variance ratio — the MBR
-        // regression residual the obs layer reports.
-        DriverMetrics::get().mbr_residual.set(r.var);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kAVG: {
-        rating::ContextObliviousRater rater(driver_.options_.window);
-        while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation();
-          rater.add(measure(cfg, inv).time);
-        }
-        if (!rater.converged()) ++exhausted_;
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kWHL: {
-        rating::WholeProgramRater rater;
-        while (!rater.converged() && !rater.exhausted()) {
-          // One full application run per sample. The run also executes
-          // everything *around* the tuning section, which WHL must pay
-          // for — that surcharge is the core of its cost disadvantage.
-          double run_ts_time = 0.0;
-          for (std::size_t i = 0; i < driver_.trace_.invocations.size();
-               ++i) {
-            const double t = measure(cfg, next_invocation()).time;
-            rater.add_invocation(t);
-            run_ts_time += t;
-          }
-          rater.end_run();
-          const double fraction = driver_.workload_.ts_time_fraction();
-          whole_program_surcharge_ +=
-              run_ts_time * (1.0 / fraction - 1.0);
-        }
-        const rating::Rating r = rater.rating();
-        observe_rating(rater.converged(), r.samples);
-        eval = r.eval;
-        break;
-      }
-      case rating::Method::kRBR:
-        PEAK_CHECK(false, "RBR is pair-based; use rbr_ratio");
-        break;
-    }
-    if (eval <= 0.0) {
-      ++exhausted_;
-      throw RatingNotConverging(
-          std::string(rating::to_string(method_)) +
-          " produced no estimate for " + driver_.workload_.full_name());
-    }
-    memo_.emplace(key, eval);
-    pending_memo_.emplace_back(key, eval);
-    return eval;
-  }
-
-  // ---- Batched evaluation -----------------------------------------------
-
-  /// One candidate of a batch. Everything its rating *reads* is either
-  /// immutable during the fan-out (the shared memo, the trace) or copied
-  /// in here at rating start (quarantine, validated set); everything it
-  /// *writes* is buffered in the output fields and folded into the
-  /// evaluator by merge_member(), on the primary thread, in canonical
-  /// candidate order.
+  /// One rating of a batch. Everything it *reads* is either immutable
+  /// during the fan-out (the shared memo, the trace) or copied in here at
+  /// rating start (quarantine, validated set); everything it *writes*
+  /// lands in `delta`, which merge() folds into the evaluator on the
+  /// primary thread, in canonical candidate order.
   struct MemberState {
     const search::FlagConfig* base = nullptr;
     const search::FlagConfig* cfg = nullptr;
@@ -724,24 +318,9 @@ private:
     fault::Quarantine quarantine;     ///< copy of the shared registry
     std::set<std::string> validated;  ///< copy of the validated set
     std::size_t cursor = 0;           ///< member-local stream cursor
-
-    // Outputs: the complete state delta of this rating.
-    double r = 0.0;
-    std::vector<std::pair<std::string, double>> memo_added;
-    std::vector<std::string> validated_added;
-    std::vector<JournalEval::RatingObs> robs;
-    std::set<std::string> fail_keys;
-    std::vector<fault::FaultEvent> fault_events;
-    std::uint64_t invocations = 0;
-    std::uint64_t ratings_started = 0;
-    std::uint64_t exhausted = 0;
-    double whole_program_surcharge = 0.0;
-    std::optional<double> mbr_residual;
-    std::exception_ptr error;
-    sim::SimExecutionBackend::Snapshot before, after;
+    RatingDelta delta;
     bool from_cache = false;
-    sim::SimExecutionBackend::CostDeltas cached_cost;
-    std::string cache_key;  ///< "" = cache disabled
+    std::string cache_key;
   };
 
   /// Stream seed of one member: a pure function of (run seed, section,
@@ -776,11 +355,53 @@ private:
     }
   }
 
-  /// Rate one member on its slot backend. Never throws: an unexpected
-  /// exception (e.g. RatingNotConverging) is captured so the merge loop
-  /// can rethrow it at the member's canonical position, after applying
-  /// the partial deltas — exactly like a serial rating abandoning
-  /// mid-flight.
+  /// Rate `targets` (canonical batch order) on the member transport the
+  /// options select — the TCP fleet, forked workers, or in-process slot
+  /// threads. This is the only place that chooses; every transport runs
+  /// run_member() against the same frozen state and hands back the
+  /// member's delta, so the choice moves where a rating runs, never what
+  /// it returns.
+  void run_members(const std::vector<MemberState*>& targets) {
+    if (targets.empty()) return;
+    const DriverOptions& options = driver_.options_;
+    if (options.coordinator != nullptr) {
+      run_remote(targets);
+      return;
+    }
+    if (options.isolate_workers >= 1) {
+      run_isolated(targets);
+      return;
+    }
+    // Slot-scheduled so the item → backend-clone mapping is a pure
+    // function of the batch shape.
+    const std::size_t slots =
+        std::min<std::size_t>(options.search_threads, targets.size());
+    ensure_slots(slots);
+    if (slots == 1) {
+      for (MemberState* m : targets) {
+        m->backend = slots_[0].get();
+        run_member(*m);
+      }
+      return;
+    }
+    if (pool_ == nullptr)
+      pool_ = std::make_unique<support::ThreadPool>(options.search_threads);
+    // Workers adopt the submitting thread's attribution path so their
+    // costs land on the same machine/benchmark/section/method node.
+    const std::vector<std::string> path = obs::attribution_path();
+    pool_->slotted_for(
+        targets.size(), slots, [&](std::size_t j, std::size_t slot) {
+          obs::AttributionPathScope scope(path);
+          MemberState& m = *targets[j];
+          m.backend = slots_[slot].get();
+          run_member(m);  // never throws: errors land in m.delta.error
+        });
+  }
+
+  /// Rate one member on its slot backend. Never throws: an exception
+  /// (e.g. RatingNotConverging) is captured in the delta so the merge
+  /// loop can rethrow it at the member's canonical position, after
+  /// applying the partial delta.
   void run_member(MemberState& m) {
     m.quarantine = quarantine_;
     m.validated = validated_;
@@ -789,83 +410,93 @@ private:
       m.guard.emplace(*m.backend, m.quarantine,
                       driver_.options_.fault.guard);
       m.guard->set_on_fault([&m](const fault::FaultEvent& ev) {
-        m.fail_keys.insert(ev.config_key);
-        m.fault_events.push_back(ev);
+        m.delta.events.push_back(ev);
       });
       m.guard->set_reference(*m.base);
     }
     m.backend->reset_measurement_stream(m.seed);
-    // Zero the clone's cost tallies so this member's deltas are sums that
-    // start from 0.0 — `after - before` with a non-zero `before` rounds
-    // differently depending on what the slot accumulated earlier, which
-    // would make simulated_time depend on the member → slot assignment
-    // (i.e. on the thread count). With the reset, the delta is the exact
-    // member-local sum for every slot layout.
+    // Zero the clone's cost tallies so this member's costs are sums that
+    // start from 0.0 — whatever the slot accumulated earlier would
+    // otherwise round into them, making simulated_time depend on the
+    // member → slot assignment (i.e. on the thread count).
     m.backend->reset_accumulated_time();
-    m.before = m.backend->snapshot_state();
     try {
       try {
         if (m.prologue) {
-          rate_time_m(m, *m.base);
+          rate_time(m, *m.base);
         } else if (method_ == rating::Method::kRBR) {
-          m.r = rbr_ratio_m(m);
+          m.delta.r = rbr_ratio(m);
         } else {
-          const double e_base = rate_time_m(m, *m.base);
-          const double e_cfg = rate_time_m(m, *m.cfg);
+          const double e_base = rate_time(m, *m.base);
+          const double e_cfg = rate_time(m, *m.cfg);
           PEAK_CHECK(e_cfg > 0.0, "non-positive rating");
-          m.r = e_base / e_cfg;
+          m.delta.r = e_base / e_cfg;
         }
-        if (!m.prologue) maybe_validate_m(m, m.r);
+        if (!m.prologue) maybe_validate(m, m.delta.r);
       } catch (const fault::ConfigFailed&) {
-        m.r = 0.0;
+        // The configuration cannot be measured: quarantined, retry budget
+        // exhausted, or miscompiled. Report "no improvement" so the
+        // search moves on; excluded() keeps it from being probed again.
+        m.delta.r = 0.0;
       }
     } catch (...) {
-      m.error = std::current_exception();
+      m.delta.error = std::current_exception();
     }
-    m.after = m.backend->snapshot_state();
+    m.delta.cost = m.backend->costs();
+    std::set<std::string> faulted;  // one entry per key, in key order
+    for (const fault::FaultEvent& ev : m.delta.events)
+      faulted.insert(ev.config_key);
+    for (const std::string& key : faulted) {
+      const auto it = m.quarantine.entries().find(key);
+      if (it == m.quarantine.entries().end()) continue;
+      m.delta.fails.push_back({key, it->second.kind, it->second.failures,
+                               it->second.quarantined});
+    }
   }
 
-  const sim::Invocation& next_invocation_m(MemberState& m) {
+  const sim::Invocation& next_invocation(MemberState& m) {
     const auto& invs = driver_.trace_.invocations;
     const sim::Invocation& inv = invs[m.cursor];
     m.cursor = (m.cursor + 1) % invs.size();
-    ++m.invocations;
+    ++m.delta.invocations;
     return inv;
   }
 
-  sim::InvocationResult measure_m(MemberState& m,
-                                  const search::FlagConfig& cfg,
-                                  const sim::Invocation& inv) {
-    return m.guard ? m.guard->invoke(cfg, inv)
-                   : m.backend->invoke(cfg, inv);
+  /// Measurement entry point: guarded when fault tolerance is on, the
+  /// raw backend otherwise (bit-identical to the fault-oblivious driver —
+  /// the guard is not even constructed).
+  sim::InvocationResult measure(MemberState& m,
+                                const search::FlagConfig& cfg,
+                                const sim::Invocation& inv) {
+    return m.guard ? m.guard->invoke(cfg, inv) : m.backend->invoke(cfg, inv);
   }
 
-  void maybe_validate_m(MemberState& m, double r) {
+  /// Validate the output digest of an improving configuration before the
+  /// search may adopt it. Throws fault::ConfigFailed on a miscompile
+  /// (which also quarantines the config).
+  void maybe_validate(MemberState& m, double r) {
     if (!m.guard || !driver_.options_.fault.validate_improvements) return;
     if (r <= 1.0) return;
     const std::string key = m.cfg->key();
     if (m.validated.count(key) != 0) return;
-    m.guard->validate(*m.cfg, next_invocation_m(m));
+    m.guard->validate(*m.cfg, next_invocation(m));
     m.validated.insert(key);
-    m.validated_added.push_back(key);
+    m.delta.validated.push_back(key);
   }
 
-  void observe_rating_m(MemberState& m, bool converged,
-                        std::size_t samples) {
-    m.robs.push_back({converged, static_cast<std::uint64_t>(samples)});
+  void observe_rating(MemberState& m, bool converged, std::size_t samples) {
+    m.delta.robs.push_back({converged, static_cast<std::uint64_t>(samples)});
   }
 
-  /// Member-local mirror of rbr_ratio(): same protocol, same significance
-  /// gate, but all tallies land on the member and the registry updates
-  /// are deferred to the merge.
-  double rbr_ratio_m(MemberState& m) {
-    ++m.ratings_started;
+  /// RBR: the ratio of paired re-executions of base and candidate.
+  double rbr_ratio(MemberState& m) {
+    ++m.delta.ratings_started;
     rating::ReexecutionRater rater(driver_.options_.window);
     sim::RbrOptions rbr_opts;
     rbr_opts.improved = driver_.options_.improved_rbr;
     rbr_opts.batch_pairs = driver_.options_.rbr_batch_pairs;
     while (!rater.converged() && !rater.exhausted()) {
-      const sim::Invocation& inv = next_invocation_m(m);
+      const sim::Invocation& inv = next_invocation(m);
       const std::vector<sim::RbrPairResult> pairs =
           m.guard ? m.guard->invoke_rbr_batch(*m.base, *m.cfg, inv,
                                               rbr_opts)
@@ -876,9 +507,16 @@ private:
         if (rater.converged() || rater.exhausted()) break;
       }
     }
-    if (!rater.converged()) ++m.exhausted;
+    if (!rater.converged()) ++m.delta.exhausted;
     const rating::Rating r = rater.rating();
-    observe_rating_m(m, rater.converged(), r.samples);
+    observe_rating(m, rater.converged(), r.samples);
+    // Significance gate: with very noisy sections (EQUAKE's irregular
+    // memory) the window may cap out with a standard error comparable to
+    // the search's improvement threshold; reporting a statistically
+    // insignificant ratio would let noise eliminate useful options (the
+    // paper's "if the rating is inaccurate, the tuning system will yield
+    // limited performance or even degradation"). Below 3 SEM the verdict
+    // is "no measurable difference".
     const double sem =
         r.samples > 0 ? std::sqrt(r.var / static_cast<double>(r.samples))
                       : 0.0;
@@ -886,31 +524,36 @@ private:
     return r.eval;
   }
 
-  /// Member-local mirror of rate_time(). The shared memo is frozen during
-  /// a batch (the prologue published the base EVAL before the fan-out);
-  /// a member additionally sees its own additions.
-  double rate_time_m(MemberState& m, const search::FlagConfig& cfg) {
+  /// Time-like EVAL of one configuration (CBR, MBR, AVG, WHL), memoized
+  /// by config key. The shared memo is frozen during a batch (the
+  /// prologue published the base EVAL before the fan-out); a member
+  /// additionally sees its own additions.
+  double rate_time(MemberState& m, const search::FlagConfig& cfg) {
     const std::string key = cfg.key();
     const auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
-    for (const auto& [k, v] : m.memo_added)
+    for (const auto& [k, v] : m.delta.memo)
       if (k == key) return v;
-    ++m.ratings_started;
+    ++m.delta.ratings_started;
 
     double eval = 0.0;
     switch (method_) {
       case rating::Method::kCBR: {
         rating::ContextBasedRater rater(driver_.options_.window);
+        // With many contexts only a fraction of invocations feed the
+        // dominant bucket, so the stream budget scales with the context
+        // count (capped) — this is exactly why forcing CBR onto a
+        // many-context section (MGRID_CBR) wastes tuning time.
         const std::size_t budget =
             driver_.options_.window.max_samples *
             std::clamp<std::size_t>(driver_.profile_.num_contexts, 1, 50);
         while (!rater.converged() && rater.total_samples() < budget) {
-          const sim::Invocation& inv = next_invocation_m(m);
-          rater.add(inv.context, measure_m(m, cfg, inv).time);
+          const sim::Invocation& inv = next_invocation(m);
+          rater.add(inv.context, measure(m, cfg, inv).time);
         }
-        if (!rater.converged()) ++m.exhausted;
+        if (!rater.converged()) ++m.delta.exhausted;
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
+        observe_rating(m, rater.converged(), r.samples);
         eval = r.eval;
         break;
       }
@@ -919,202 +562,151 @@ private:
             driver_.profile_.components.num_components(),
             driver_.profile_.mbr_profile, driver_.options_.mbr);
         while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation_m(m);
-          const sim::InvocationResult r = measure_m(m, cfg, inv);
+          const sim::Invocation& inv = next_invocation(m);
+          const sim::InvocationResult r = measure(m, cfg, inv);
           std::vector<double> counts(r.counters->begin(),
                                      r.counters->end());
           counts.push_back(1.0);  // constant component
           rater.add(counts, r.time);
         }
-        if (!rater.converged()) ++m.exhausted;
+        if (!rater.converged()) ++m.delta.exhausted;
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
-        m.mbr_residual = r.var;
+        observe_rating(m, rater.converged(), r.samples);
+        // r.var carries the fit's unexplained-variance ratio — the MBR
+        // regression residual the obs layer reports.
+        m.delta.mbr_residual = r.var;
         eval = r.eval;
         break;
       }
       case rating::Method::kAVG: {
         rating::ContextObliviousRater rater(driver_.options_.window);
         while (!rater.converged() && !rater.exhausted()) {
-          const sim::Invocation& inv = next_invocation_m(m);
-          rater.add(measure_m(m, cfg, inv).time);
+          const sim::Invocation& inv = next_invocation(m);
+          rater.add(measure(m, cfg, inv).time);
         }
-        if (!rater.converged()) ++m.exhausted;
+        if (!rater.converged()) ++m.delta.exhausted;
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
+        observe_rating(m, rater.converged(), r.samples);
         eval = r.eval;
         break;
       }
       case rating::Method::kWHL: {
         rating::WholeProgramRater rater;
         while (!rater.converged() && !rater.exhausted()) {
+          // One full application run per sample. The run also executes
+          // everything *around* the tuning section, which WHL must pay
+          // for — that surcharge is the core of its cost disadvantage.
           double run_ts_time = 0.0;
           for (std::size_t i = 0; i < driver_.trace_.invocations.size();
                ++i) {
-            const double t = measure_m(m, cfg, next_invocation_m(m)).time;
+            const double t = measure(m, cfg, next_invocation(m)).time;
             rater.add_invocation(t);
             run_ts_time += t;
           }
           rater.end_run();
           const double fraction = driver_.workload_.ts_time_fraction();
-          m.whole_program_surcharge +=
+          m.delta.whole_program_surcharge +=
               run_ts_time * (1.0 / fraction - 1.0);
         }
         const rating::Rating r = rater.rating();
-        observe_rating_m(m, rater.converged(), r.samples);
+        observe_rating(m, rater.converged(), r.samples);
         eval = r.eval;
         break;
       }
       case rating::Method::kRBR:
-        PEAK_CHECK(false, "RBR is pair-based; use rbr_ratio_m");
+        PEAK_CHECK(false, "RBR is pair-based; use rbr_ratio");
         break;
     }
     if (eval <= 0.0) {
-      ++m.exhausted;
+      ++m.delta.exhausted;
       throw RatingNotConverging(
           std::string(rating::to_string(method_)) +
           " produced no estimate for " + driver_.workload_.full_name());
     }
-    m.memo_added.emplace_back(key, eval);
+    m.delta.memo.emplace_back(key, eval);
     return eval;
   }
 
-  /// Fold one member's buffered deltas into the evaluator, exactly as a
-  /// serial rating would have applied them interleaved. Primary thread
-  /// only, canonical candidate order. Quarantine counts merge by
-  /// restoring the member's observed counts verbatim; two members of one
-  /// batch failing on the *same* key keep the higher count rather than
-  /// the sum (documented undercount — deterministic, and conservative in
-  /// the direction of re-measuring).
-  void merge_member(const MemberState& m) {
-    for (const fault::FaultEvent& ev : m.fault_events)
-      if (journal_ != nullptr) journal_->record_fault(ev);
-    for (const std::string& key : m.fail_keys) {  // std::set: sorted
-      const auto it = m.quarantine.entries().find(key);
-      if (it == m.quarantine.entries().end()) continue;
-      if (it->second.failures > quarantine_.failures_of(key))
-        quarantine_.restore_failures(key, it->second.kind,
-                                     it->second.failures);
-      if (it->second.quarantined)
-        quarantine_.quarantine(key, it->second.kind);
+  /// Fold one delta into the evaluator: the single merge step for live,
+  /// cached and replayed ratings alike. Primary thread only, canonical
+  /// candidate order. Quarantine counts merge by restoring the member's
+  /// observed counts; two members of one batch failing on the *same* key
+  /// keep the higher count rather than the sum (documented undercount —
+  /// deterministic, and conservative in the direction of re-measuring).
+  void merge(const RatingDelta& d) {
+    for (const RatingDelta::Fail& f : d.fails) {
+      if (f.failures > quarantine_.failures_of(f.key))
+        quarantine_.restore_failures(f.key, f.kind, f.failures);
+      if (f.quarantined) quarantine_.quarantine(f.key, f.kind);
     }
-    for (const auto& [key, eval] : m.memo_added) memo_.emplace(key, eval);
-    for (const std::string& key : m.validated_added)
-      validated_.insert(key);
+    for (const auto& [key, eval] : d.memo) memo_.emplace(key, eval);
+    for (const std::string& key : d.validated) validated_.insert(key);
 
     DriverMetrics& dm = DriverMetrics::get();
-    dm.invocations.inc(m.invocations);
-    dm.ratings_started.inc(m.ratings_started);
-    for (const JournalEval::RatingObs& o : m.robs) {
+    dm.invocations.inc(d.invocations);
+    dm.ratings_started.inc(d.ratings_started);
+    for (const RatingDelta::RatingObs& o : d.robs) {
       (o.converged ? dm.ratings_converged : dm.ratings_exhausted).inc();
       dm.window_occupancy.observe(static_cast<double>(o.samples));
     }
-    if (m.mbr_residual) dm.mbr_residual.set(*m.mbr_residual);
+    if (d.mbr_residual) dm.mbr_residual.set(*d.mbr_residual);
 
-    invocations_ += m.invocations;
-    ratings_ += m.ratings_started;
-    exhausted_ += m.exhausted;
-    whole_program_surcharge_ += m.whole_program_surcharge;
-    // Simulated-cycle costs fold into the primary backend (cost side
-    // only: its own unconsumed rng/warmth state stays untouched).
-    backend_.absorb_cost_deltas(
-        m.from_cache
-            ? m.cached_cost
-            : sim::SimExecutionBackend::cost_deltas(m.before, m.after));
+    invocations_ += d.invocations;
+    ratings_ += d.ratings_started;
+    exhausted_ += d.exhausted;
+    whole_program_surcharge_ += d.whole_program_surcharge;
+    // Simulated-cycle costs fold into the primary backend, which only
+    // ever accumulates: it never measures itself.
+    backend_.absorb_cost_deltas(d.cost);
   }
 
-  /// Journal one batch member. The batch's prologue (base rating) rides
-  /// along on the first live record — its memo entry, observations, and
-  /// fail deltas concatenate in front of the member's own — so replay
-  /// reproduces the evaluator state without a dedicated prologue record.
-  void record_member_eval(const MemberState& m, const MemberState* pro) {
-    if (journal_ == nullptr) return;
-    JournalEval e;
-    e.base_key = m.base->key();
-    e.cfg_key = m.cfg->key();
-    e.r = m.r;
-    if (pro != nullptr) e.memo_added = pro->memo_added;
-    e.memo_added.insert(e.memo_added.end(), m.memo_added.begin(),
-                        m.memo_added.end());
-    e.validated_added = m.validated_added;
-    std::set<std::string> fails = m.fail_keys;
-    if (pro != nullptr)
-      fails.insert(pro->fail_keys.begin(), pro->fail_keys.end());
-    for (const std::string& key : fails) {
-      const auto it = quarantine_.entries().find(key);
-      if (it == quarantine_.entries().end()) continue;
-      JournalEval::FailDelta d;
-      d.key = key;
-      d.kind = it->second.kind;
-      d.failures = it->second.failures;
-      d.quarantined = it->second.quarantined;
-      e.fails.push_back(std::move(d));
-    }
-    if (pro != nullptr) e.ratings_observed = pro->robs;
-    e.ratings_observed.insert(e.ratings_observed.end(), m.robs.begin(),
-                              m.robs.end());
-    e.snap.backend = backend_.snapshot_state();
-    e.snap.cursor = cursor_;
-    e.snap.invocations = invocations_;
-    e.snap.evaluations = evaluations_;
-    e.snap.ratings = ratings_;
-    e.snap.exhausted = exhausted_;
-    e.snap.whole_program_surcharge = whole_program_surcharge_;
-    journal_->record_eval(e);
+  /// Replay one recorded evaluation: merge its recorded deltas exactly as
+  /// the live path merged them (prologue first) and return the recorded
+  /// rating, without touching a backend. Once the records run out the
+  /// next rating measures live, from the state the interrupted run was in.
+  double replay_eval(const search::FlagConfig& base,
+                     const search::FlagConfig& cfg) {
+    static obs::Counter& replayed = obs::counter("journal.replayed");
+    const JournalEval& e = replay_->evals[replay_pos_++];
+    PEAK_CHECK(e.base_key == base.key() && e.cfg_key == cfg.key(),
+               "journal does not match this tuning run (stale journal, or "
+               "different seed/options)");
+    if (e.prologue) merge(*e.prologue);
+    merge(e.delta);
+    ++evaluations_;
+    DriverMetrics::get().configs_evaluated.inc();
+    replayed.inc();
+    return e.delta.r;
   }
 
-  /// Normalize a cache hit into regular member outputs, so merging and
-  /// journaling do not care whether a rating ran live or replayed from
-  /// disk.
   void load_cached(MemberState& m) {
-    const std::optional<RatingCacheEntry> e = cache_->lookup(m.cache_key);
-    if (!e) return;
+    m.cache_key = make_cache_key(*m.base, *m.cfg, m.prologue);
+    std::optional<RatingDelta> hit = cache_->lookup(m.cache_key);
+    if (!hit) return;
     m.from_cache = true;
-    m.r = e->r;
-    m.memo_added = e->memo_added;
-    for (const RatingCacheEntry::RatingObs& o : e->rating_obs)
-      m.robs.push_back({o.converged, o.samples});
-    m.invocations = e->invocations;
-    m.ratings_started = e->ratings_started;
-    m.exhausted = e->exhausted;
-    m.whole_program_surcharge = e->whole_program_surcharge;
-    m.cached_cost = e->cost;
-    m.mbr_residual = e->mbr_residual;
+    m.delta = std::move(*hit);
   }
 
   void maybe_store(const MemberState& m) {
-    if (cache_ == nullptr || m.from_cache || m.error) return;
+    if (cache_ == nullptr || m.from_cache || m.delta.error) return;
     const auto t0 = std::chrono::steady_clock::now();
-    RatingCacheEntry e;
-    e.r = m.r;
-    e.memo_added = m.memo_added;
-    for (const JournalEval::RatingObs& o : m.robs)
-      e.rating_obs.push_back({o.converged, o.samples});
-    e.invocations = m.invocations;
-    e.ratings_started = m.ratings_started;
-    e.exhausted = m.exhausted;
-    e.whole_program_surcharge = m.whole_program_surcharge;
-    e.cost = sim::SimExecutionBackend::cost_deltas(m.before, m.after);
-    e.mbr_residual = m.mbr_residual;
-    cache_->store(m.cache_key, e);
+    cache_->store(m.cache_key, m.delta);
     cache_wall_us_ += std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
   }
 
-  // ---- Out-of-process isolation (isolate_workers >= 1) ------------------
+  // ---- Worker transports -------------------------------------------------
 
-  /// Run `targets` (canonical batch order) in forked worker subprocesses
-  /// under a proc::Supervisor. Task i maps to worker i % W — the same
-  /// schedule slotted_for uses — and each task rates its member with the
-  /// exact run_member() code the in-process path runs, on the same slot
-  /// clone, so the member outputs are bit-identical; only the transport
-  /// differs (a JSONL frame instead of shared memory). A worker death
-  /// requeues the task onto a fresh fork with a bumped process-attempt
-  /// counter; after max_task_attempts the config is treated as a
-  /// deterministic crasher (see synthesize_process_failure).
-  void run_members_isolated(const std::vector<MemberState*>& targets) {
-    if (targets.empty()) return;
+  /// Run `targets` in forked worker subprocesses under a
+  /// proc::Supervisor. Task i maps to worker i % W — the same schedule
+  /// slotted_for uses — and each task rates its member with run_member()
+  /// on the same slot clone the in-process path uses; only the transport
+  /// differs (an encoded RatingDelta frame instead of shared memory). A
+  /// worker death requeues the task onto a fresh fork with a bumped
+  /// process-attempt counter; after max_task_attempts the config is
+  /// treated as a deterministic crasher (see synthesize_process_failure).
+  void run_isolated(const std::vector<MemberState*>& targets) {
     const std::size_t slots = std::min<std::size_t>(
         driver_.options_.isolate_workers, targets.size());
     ensure_slots(slots);
@@ -1122,8 +714,8 @@ private:
     policy.workers = slots;
     // The TaskFn body executes in the forked child: it inherits the
     // evaluator frozen at fork time (members, memo, quarantine, slot
-    // clones) by copy-on-write and ships the member's buffered deltas
-    // back as one frame. Nothing the child mutates is visible here.
+    // clones) by copy-on-write and ships the member's delta back as one
+    // frame. Nothing the child mutates is visible here.
     proc::Supervisor sup(
         [this, &targets, slots](std::size_t task, std::size_t attempt) {
           MemberState& m = *targets[task];
@@ -1132,40 +724,18 @@ private:
           // (and a deterministic one keep firing until quarantine).
           m.backend->set_process_attempt(attempt);
           run_member(m);
-          return serialize_member(m);
+          return m.delta.encode();
         },
         policy);
-    const std::vector<proc::TaskOutcome> outs = sup.run(targets.size());
-    PEAK_CHECK(outs.size() == targets.size(), "supervisor outcome arity");
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      MemberState& m = *targets[i];
-      if (outs[i].ok)
-        apply_member_payload(m, outs[i].payload);
-      else
-        synthesize_process_failure(m, outs[i]);
-      // Wall burned on dead attempts is real tuning overhead, but never
-      // simulated cycles: charging cycles would perturb simulated_time
-      // and break bit-identity with the crash-free run. Retried-then-
-      // succeeded attempts land on "retry", given-up ones on "faulted".
-      for (const proc::WorkerFailure& f : outs[i].failures)
-        (outs[i].ok ? proc_retry_wall_us_ : proc_faulted_wall_us_) +=
-            f.burned_wall_us;
-    }
+    collect(targets, sup.run(targets.size()));
   }
 
-  // ---- Distributed rating (options_.coordinator != nullptr) -------------
-
-  /// Run `targets` (canonical batch order) on the coordinator's worker
-  /// fleet. Each member becomes one RemoteMemberTask — method, config
-  /// bits, content-derived stream seed, and the frozen memo entries the
-  /// rating may read (at most the base's and the candidate's) — so the
-  /// remote rating is the same pure function of content the local slot
-  /// threads compute; only the transport differs. Results come back in
-  /// the `proc` member wire format and flow through the exact
-  /// apply/synthesize pair the isolated path uses, including the
-  /// wall-burned accounting for dead workers.
-  void run_members_remote(const std::vector<MemberState*>& targets) {
-    if (targets.empty()) return;
+  /// Run `targets` on the coordinator's worker fleet. Each member becomes
+  /// one RemoteMemberTask — method, config bits, content-derived stream
+  /// seed, and the frozen memo entries the rating may read (at most the
+  /// base's and the candidate's) — so the remote rating is the same pure
+  /// function of content the local slot threads compute.
+  void run_remote(const std::vector<MemberState*>& targets) {
     std::vector<RemoteMemberTask> tasks;
     tasks.reserve(targets.size());
     for (const MemberState* mp : targets) {
@@ -1185,233 +755,63 @@ private:
       }
       tasks.push_back(std::move(t));
     }
-    const std::vector<proc::TaskOutcome> outs =
-        driver_.options_.coordinator->run_round(tasks);
-    PEAK_CHECK(outs.size() == targets.size(), "coordinator outcome arity");
+    collect(targets, driver_.options_.coordinator->run_round(tasks));
+  }
+
+  /// Take a worker transport's per-task outcomes: a delivered frame is
+  /// the member's delta, a task no worker completed becomes a synthesized
+  /// failure.
+  void collect(const std::vector<MemberState*>& targets,
+               const std::vector<proc::TaskOutcome>& outs) {
+    PEAK_CHECK(outs.size() == targets.size(), "worker outcome arity");
     for (std::size_t i = 0; i < targets.size(); ++i) {
       MemberState& m = *targets[i];
       if (outs[i].ok)
-        apply_member_payload(m, outs[i].payload);
+        m.delta =
+            RatingDelta::decode(jsonl::JsonParser(outs[i].payload).parse());
       else
         synthesize_process_failure(m, outs[i]);
-      // Same wall-only accounting as the isolated path: dead dispatches
-      // burn real time but never simulated cycles.
+      // Wall burned on dead attempts is real tuning overhead, but never
+      // simulated cycles: charging cycles would perturb simulated_time
+      // and break bit-identity with the crash-free run. Retried-then-
+      // succeeded attempts land on "retry", given-up ones on "faulted".
       for (const proc::WorkerFailure& f : outs[i].failures)
         (outs[i].ok ? proc_retry_wall_us_ : proc_faulted_wall_us_) +=
             f.burned_wall_us;
     }
   }
 
-  /// Wire format of one rated member: the complete buffered delta of
-  /// run_member(), in the journal's JSONL dialect (hex doubles, so the
-  /// pipe round trip is exact). Runs in the child.
-  [[nodiscard]] std::string serialize_member(const MemberState& m) const {
-    using jsonl::hex_double;
-    using jsonl::quote;
-    std::ostringstream os;
-    os << "{\"r\":" << quote(hex_double(m.r));
-    if (!m.memo_added.empty()) {
-      os << ",\"memo\":[";
-      for (std::size_t i = 0; i < m.memo_added.size(); ++i)
-        os << (i ? "," : "") << "{\"k\":" << quote(m.memo_added[i].first)
-           << ",\"v\":" << quote(hex_double(m.memo_added[i].second)) << "}";
-      os << "]";
-    }
-    if (!m.validated_added.empty()) {
-      os << ",\"validated\":[";
-      for (std::size_t i = 0; i < m.validated_added.size(); ++i)
-        os << (i ? "," : "") << quote(m.validated_added[i]);
-      os << "]";
-    }
-    if (!m.robs.empty()) {
-      os << ",\"robs\":[";
-      for (std::size_t i = 0; i < m.robs.size(); ++i)
-        os << (i ? "," : "") << "{\"c\":"
-           << (m.robs[i].converged ? "true" : "false")
-           << ",\"s\":" << m.robs[i].samples << "}";
-      os << "]";
-    }
-    if (!m.fail_keys.empty()) {
-      os << ",\"failk\":[";
-      std::size_t i = 0;
-      for (const std::string& key : m.fail_keys)
-        os << (i++ ? "," : "") << quote(key);
-      os << "],\"fails\":[";
-      i = 0;
-      for (const std::string& key : m.fail_keys) {
-        const auto it = m.quarantine.entries().find(key);
-        if (it == m.quarantine.entries().end()) continue;
-        os << (i++ ? "," : "") << "{\"k\":" << quote(key)
-           << ",\"kind\":" << quote(fault::to_string(it->second.kind))
-           << ",\"n\":" << it->second.failures
-           << ",\"q\":" << (it->second.quarantined ? "true" : "false")
-           << "}";
-      }
-      os << "]";
-    }
-    if (!m.fault_events.empty()) {
-      os << ",\"events\":[";
-      for (std::size_t i = 0; i < m.fault_events.size(); ++i) {
-        const fault::FaultEvent& ev = m.fault_events[i];
-        os << (i ? "," : "")
-           << "{\"kind\":" << quote(fault::to_string(ev.kind))
-           << ",\"cfg\":" << quote(ev.config_key)
-           << ",\"inv\":" << ev.invocation_id
-           << ",\"attempt\":" << ev.attempt
-           << ",\"gave_up\":" << (ev.gave_up ? "true" : "false")
-           << ",\"q\":" << (ev.quarantined ? "true" : "false") << "}";
-      }
-      os << "]";
-    }
-    os << ",\"inv\":" << m.invocations << ",\"rs\":" << m.ratings_started
-       << ",\"rx\":" << m.exhausted
-       << ",\"whl\":" << quote(hex_double(m.whole_program_surcharge));
-    if (m.mbr_residual)
-      os << ",\"mbr\":" << quote(hex_double(*m.mbr_residual));
-    const sim::SimExecutionBackend::CostDeltas c =
-        sim::SimExecutionBackend::cost_deltas(m.before, m.after);
-    os << ",\"cost\":{\"acc\":" << quote(hex_double(c.accumulated))
-       << ",\"timed\":" << quote(hex_double(c.timed))
-       << ",\"pre\":" << quote(hex_double(c.precondition))
-       << ",\"ckpt\":" << quote(hex_double(c.checkpoint))
-       << ",\"faulted\":" << quote(hex_double(c.faulted))
-       << ",\"retry\":" << quote(hex_double(c.retry))
-       << ",\"saves\":" << c.saves << ",\"restores\":" << c.restores
-       << ",\"ckpt_bytes\":" << c.checkpoint_bytes << "}";
-    if (m.error) {
-      // Exceptions do not fit through a pipe; a (tag, what) pair does,
-      // and the parent rebuilds the matching type so the merge loop's
-      // rethrow behaves exactly like the in-process path.
-      std::string tag = "std";
-      std::string what = "unknown error";
-      try {
-        std::rethrow_exception(m.error);
-      } catch (const RatingNotConverging& e) {
-        tag = "rnc";
-        what = e.what();
-      } catch (const support::CheckError& e) {
-        tag = "check";
-        what = e.what();
-      } catch (const std::exception& e) {
-        what = e.what();
-      } catch (...) {
-      }
-      os << ",\"err\":{\"tag\":" << quote(tag)
-         << ",\"what\":" << quote(what) << "}";
-    }
-    os << "}";
-    return os.str();
-  }
-
-  /// Parent-side inverse of serialize_member(): rebuild the member's
-  /// output fields so merge_member()/record_member_eval()/maybe_store()
-  /// run unchanged on an isolated result. `before` stays default-zeroed
-  /// and `after` carries the deltas directly — x - 0.0 == x bitwise, so
-  /// cost_deltas(before, after) reproduces the child's exact values.
-  void apply_member_payload(MemberState& m, const std::string& payload) {
-    const jsonl::JsonValue j = jsonl::JsonParser(payload).parse();
-    m.r = j.at("r").as_hex_double();
-    if (j.has("memo"))
-      for (const jsonl::JsonValue& e : j.at("memo").as_array())
-        m.memo_added.emplace_back(e.at("k").as_string(),
-                                  e.at("v").as_hex_double());
-    if (j.has("validated"))
-      for (const jsonl::JsonValue& v : j.at("validated").as_array())
-        m.validated_added.push_back(v.as_string());
-    if (j.has("robs"))
-      for (const jsonl::JsonValue& o : j.at("robs").as_array())
-        m.robs.push_back({o.at("c").as_bool(), o.at("s").as_u64()});
-    if (j.has("failk")) {
-      for (const jsonl::JsonValue& k : j.at("failk").as_array())
-        m.fail_keys.insert(k.as_string());
-      m.quarantine = quarantine_;
-      for (const jsonl::JsonValue& f : j.at("fails").as_array()) {
-        const auto kind = fault::parse_fault_kind(f.at("kind").as_string());
-        PEAK_CHECK(kind.has_value(), "worker frame: unknown fault kind");
-        m.quarantine.restore_failures(f.at("k").as_string(), *kind,
-                                      f.at("n").as_u64());
-        if (f.at("q").as_bool())
-          m.quarantine.quarantine(f.at("k").as_string(), *kind);
-      }
-    }
-    if (j.has("events"))
-      for (const jsonl::JsonValue& e : j.at("events").as_array()) {
-        fault::FaultEvent ev;
-        const auto kind = fault::parse_fault_kind(e.at("kind").as_string());
-        PEAK_CHECK(kind.has_value(), "worker frame: unknown fault kind");
-        ev.kind = *kind;
-        ev.config_key = e.at("cfg").as_string();
-        ev.invocation_id = e.at("inv").as_u64();
-        ev.attempt = e.at("attempt").as_u64();
-        ev.gave_up = e.at("gave_up").as_bool();
-        ev.quarantined = e.at("q").as_bool();
-        m.fault_events.push_back(std::move(ev));
-      }
-    m.invocations = j.at("inv").as_u64();
-    m.ratings_started = j.at("rs").as_u64();
-    m.exhausted = j.at("rx").as_u64();
-    m.whole_program_surcharge = j.at("whl").as_hex_double();
-    if (j.has("mbr")) m.mbr_residual = j.at("mbr").as_hex_double();
-    const jsonl::JsonValue& c = j.at("cost");
-    m.before = sim::SimExecutionBackend::Snapshot{};
-    m.after = sim::SimExecutionBackend::Snapshot{};
-    m.after.accumulated = c.at("acc").as_hex_double();
-    m.after.timed = c.at("timed").as_hex_double();
-    m.after.precondition = c.at("pre").as_hex_double();
-    m.after.checkpoint = c.at("ckpt").as_hex_double();
-    m.after.faulted = c.at("faulted").as_hex_double();
-    m.after.retry = c.at("retry").as_hex_double();
-    m.after.saves = c.at("saves").as_u64();
-    m.after.restores = c.at("restores").as_u64();
-    m.after.checkpoint_bytes = c.at("ckpt_bytes").as_u64();
-    if (j.has("err")) {
-      const jsonl::JsonValue& err = j.at("err");
-      const std::string tag = err.at("tag").as_string();
-      const std::string what = err.at("what").as_string();
-      if (tag == "rnc")
-        m.error = std::make_exception_ptr(RatingNotConverging(what));
-      else if (tag == "check")
-        m.error = std::make_exception_ptr(support::CheckError(what));
-      else
-        m.error = std::make_exception_ptr(std::runtime_error(what));
-    }
-  }
-
   /// The member's rating never completed on any process attempt. The
-  /// config gets "no improvement" (the serial path's ConfigFailed answer)
-  /// and, when every attempt died the same way, a quarantine entry — a
+  /// config gets "no improvement" (the ConfigFailed answer) and, when
+  /// every attempt died the same way, a quarantine entry — a
   /// deterministic crasher must never be probed again. Mixed failure
   /// signatures record the failures without quarantining (conservative in
   /// the direction of re-measuring). Nothing here touches the simulated
   /// clock, so the surviving members stay bit-identical.
   void synthesize_process_failure(MemberState& m,
                                   const proc::TaskOutcome& out) {
-    m.r = 0.0;
-    m.before = sim::SimExecutionBackend::Snapshot{};
-    m.after = sim::SimExecutionBackend::Snapshot{};
+    m.delta = RatingDelta{};
     const std::string key = m.cfg->key();
     fault::FaultKind kind = fault::FaultKind::kHardCrash;
     if (!out.failures.empty() &&
         out.failures.front().cls == proc::ExitClass::kTimeout)
       kind = fault::FaultKind::kHang;
     const bool deterministic = out.failures_identical();
-    m.fail_keys.insert(key);
-    m.quarantine = quarantine_;
-    m.quarantine.restore_failures(
-        key, kind, quarantine_.failures_of(key) + out.failures.size());
-    if (deterministic) m.quarantine.quarantine(key, kind);
+    m.delta.fails.push_back(
+        {key, kind, quarantine_.failures_of(key) + out.failures.size(),
+         deterministic});
     fault::FaultEvent ev;
     ev.kind = kind;
     ev.config_key = key;
     ev.attempt = out.attempts == 0 ? 0 : out.attempts - 1;
     ev.gave_up = true;
     ev.quarantined = deterministic;
-    m.fault_events.push_back(std::move(ev));
+    m.delta.events.push_back(std::move(ev));
     if (m.prologue)
       // The *base* crashes its process deterministically: no candidate
       // can be rated against it, so the method is unusable here — same
       // answer RatingNotConverging gives for an unmeasurable base.
-      m.error = std::make_exception_ptr(RatingNotConverging(
+      m.delta.error = std::make_exception_ptr(RatingNotConverging(
           "base rating crashed its worker process for " +
           driver_.workload_.full_name()));
   }
@@ -1502,15 +902,17 @@ private:
     return std::string(buf);
   }
 
+
   const TuningDriver& driver_;
   rating::Method method_;
   const ir::Function& fn_;
-  /// Seed of the primary backend; batch-member stream seeds and backend
-  /// clones derive from it, so they are content-addressed too.
+  /// Seed of the primary backend; member stream seeds and backend clones
+  /// derive from it, so they are content-addressed too.
   std::uint64_t backend_seed_;
+  /// Accumulates the merged members' simulated-cycle costs; never
+  /// measures itself.
   sim::SimExecutionBackend backend_;
   std::map<std::string, double> memo_;
-  std::size_t cursor_ = 0;
   std::size_t invocations_ = 0;
   std::size_t evaluations_ = 0;  ///< relative_improvement() calls
   std::size_t ratings_ = 0;
@@ -1521,26 +923,19 @@ private:
   TuningJournal* journal_;              ///< null = no journaling
   const JournalSegment* replay_;        ///< null = nothing to replay
   std::size_t replay_pos_ = 0;
-  std::optional<fault::GuardedExecutor> guard_;
   /// Configs whose output digest already passed validation.
   std::set<std::string> validated_;
-  /// Per-evaluation state deltas, harvested into the journal record.
-  std::vector<std::pair<std::string, double>> pending_memo_;
-  std::vector<std::string> pending_validated_;
-  std::set<std::string> pending_fail_keys_;
-  std::vector<JournalEval::RatingObs> pending_rating_obs_;
   /// evaluator_wall_us() at construction; publish_costs() charges the
   /// delta as this method's rating wall.
   double evaluator_wall_at_start_ = obs::evaluator_wall_us();
 
-  // Batched evaluation (search_threads >= 1). Per-slot backend clones;
-  // slot s rates the batch items i with i % slots == s, so the item →
-  // backend mapping is a pure function of the batch shape (and, because
-  // every rating resets its clone's measurement stream, the results do
-  // not depend on the mapping at all).
+  // Per-slot backend clones; slot s rates the batch items i with
+  // i % slots == s, so the item → backend mapping is a pure function of
+  // the batch shape (and, because every rating resets its clone's
+  // measurement stream, the results do not depend on the mapping at all).
   std::vector<std::unique_ptr<sim::SimExecutionBackend>> slots_;
   std::unique_ptr<support::ThreadPool> pool_;
-  /// Persistent rating cache; null unless batch mode without an injector.
+  /// Persistent rating cache; null unless configured without an injector.
   RatingCache* cache_ = nullptr;
   /// Run-fingerprint halves every cache key starts from.
   std::pair<std::uint64_t, std::uint64_t> cache_salt_{};
@@ -1571,6 +966,19 @@ TuningDriver::TuningDriver(const workloads::Workload& workload,
                                                 profile.components)
               : workload.function()) {
   PEAK_CHECK(!trace_.invocations.empty(), "empty tuning trace");
+  PEAK_CHECK(options_.search_threads >= 1,
+             "search_threads must be at least 1");
+  // Distributed rating is a transport for the batch contract, not the
+  // fault layer: injector verdicts depend on coordinator-side retry and
+  // quarantine state a remote rating cannot reproduce, and process
+  // isolation is a transport of its own. Refuse the combinations instead
+  // of silently measuring something else.
+  PEAK_CHECK(options_.coordinator == nullptr ||
+                 options_.fault.injector == nullptr,
+             "distributed tuning cannot run with a fault injector");
+  PEAK_CHECK(options_.coordinator == nullptr ||
+                 options_.isolate_workers == 0,
+             "distributed tuning excludes isolate_workers");
 }
 
 TuningDriver::~TuningDriver() = default;
@@ -1595,8 +1003,6 @@ void TuningDriver::prepare_journal() {
 std::string TuningDriver::rate_remote_member(const RemoteMemberTask& task) {
   PEAK_CHECK(options_.fault.injector == nullptr,
              "a remote rating host cannot carry a fault injector");
-  PEAK_CHECK(options_.search_threads >= 1,
-             "remote member rating requires batch semantics");
   auto it = remote_evals_.find(task.method);
   if (it == remote_evals_.end()) {
     const ir::Function& fn = task.method == rating::Method::kMBR

@@ -84,42 +84,38 @@ struct DriverOptions {
   std::shared_ptr<search::SearchAlgorithm> search_algorithm;
   /// Fault injection, guarded execution, and crash-safe resume.
   FaultOptions fault{};
-  /// Batched evaluation of the search probe loops. 0 (default) keeps the
-  /// classic serial path, where every rating consumes the next stretch of
-  /// one chained measurement stream — the historical behaviour all
-  /// pre-batching baselines were recorded against. N >= 1 switches to
-  /// batch semantics: each candidate's measurement stream is reseeded
-  /// from the (seed, base, candidate) content, candidates are rated on
-  /// per-slot backend clones — fanned out over a thread pool when N > 1 —
-  /// and merged in canonical candidate order, so the TuningOutcome,
-  /// event stream, and journal are bit-identical for every N >= 1.
-  unsigned search_threads = 0;
+  /// Slot threads of a probe round (>= 1; the constructor rejects 0).
+  /// Every rating is a batch member: its measurement stream is reseeded
+  /// from the (seed, base, candidate) content, it runs on a per-slot
+  /// backend clone — fanned out over a thread pool when N > 1 — and its
+  /// delta merges in canonical candidate order, so the TuningOutcome,
+  /// event stream, and journal are bit-identical for every N.
+  unsigned search_threads = 1;
   /// Persistent content-addressed rating cache shared across sections and
-  /// runs (not owned; may be null). Only consulted in batch mode
-  /// (search_threads >= 1) and ignored whenever a fault injector is
+  /// runs (not owned; may be null). Ignored whenever a fault injector is
   /// installed — injector verdicts depend on retry/quarantine state that
-  /// is not part of the cache key.
+  /// is not part of the key.
   RatingCache* rating_cache = nullptr;
   /// Out-of-process rating isolation (src/proc/): N >= 1 runs every batch
   /// member in a forked, supervised worker subprocess instead of a pool
   /// thread, so a rating that takes its process down (FaultKind::
   /// kHardCrash, a real SIGSEGV, an rlimit kill) costs one worker, not
-  /// the run. Implies batch semantics; members keep the same per-slot
-  /// clone + frozen-state + buffered-delta contract, so the TuningOutcome
-  /// is bit-identical to `search_threads N` for any worker count — even
-  /// across transient worker deaths, whose retries re-run the identical
-  /// content-seeded rating. 0 (default) keeps ratings in-process.
+  /// the run. Members keep the same per-slot clone + frozen-state +
+  /// delta contract, so the TuningOutcome is bit-identical to
+  /// `search_threads N` for any worker count — even across transient
+  /// worker deaths, whose retries re-run the identical content-seeded
+  /// rating. 0 (default) keeps ratings in-process.
   unsigned isolate_workers = 0;
   /// Distributed rating (src/dist/): non-null fans every batch round out
   /// over the coordinator's TCP worker fleet instead of local threads or
-  /// forks. Implies batch semantics; members keep the content-seeded
-  /// stream + buffered-delta contract and merge in canonical order, so
-  /// the TuningOutcome and journal are bit-identical to `search_threads
-  /// N` for any fleet size, including across worker deaths (tasks from a
-  /// dead worker requeue onto survivors). Mutually exclusive with
-  /// `isolate_workers` and with a fault injector — injector verdicts
-  /// depend on coordinator-side retry/quarantine state a remote rating
-  /// cannot see. Not owned; must outlive the driver.
+  /// forks. Members keep the content-seeded stream + delta contract and
+  /// merge in canonical order, so the TuningOutcome and journal are
+  /// bit-identical to `search_threads N` for any fleet size, including
+  /// across worker deaths (tasks from a dead worker requeue onto
+  /// survivors). Mutually exclusive with `isolate_workers` and with a
+  /// fault injector — injector verdicts depend on coordinator-side
+  /// retry/quarantine state a remote rating cannot see; the constructor
+  /// refuses both combinations. Not owned; must outlive the driver.
   dist::Coordinator* coordinator = nullptr;
 };
 
@@ -181,13 +177,12 @@ public:
   [[nodiscard]] fault::Quarantine& quarantine() { return quarantine_; }
 
   /// Worker-side entry point of the distributed layer: rate one batch
-  /// member shipped by a coordinator and return its serialized delta (the
-  /// `proc` member wire format the coordinator merges). The rating runs
-  /// through the exact batch-member path local threads use — same
+  /// member shipped by a coordinator and return its encoded RatingDelta
+  /// (core/rating_delta.hpp), which the coordinator merges. The rating
+  /// runs through the exact batch-member path local threads use — same
   /// content-seeded stream, same slot-clone reset — seeded entirely from
   /// the task descriptor, so the returned bytes are a pure function of
-  /// (driver scenario, task). Requires batch options (search_threads >=
-  /// 1) and no fault injector.
+  /// (driver scenario, task). Requires no fault injector.
   std::string rate_remote_member(const RemoteMemberTask& task);
 
 private:

@@ -60,9 +60,9 @@ SearchResult CombinedElimination::run(const OptimizationSpace& space,
 
     // ... then re-validate the rest, in order. Batched mode rates every
     // remaining harmful flag against the post-removal base in one batch
-    // (they are independent given that base); the serial path keeps the
-    // classic variant where each accepted removal updates the base the
-    // *next* re-validation probes against.
+    // (they are independent given that base); an evaluator that does not
+    // batch keeps the classic variant where each accepted removal updates
+    // the base the *next* re-validation probes against.
     if (evaluator.batched()) {
       std::vector<std::size_t> flags;
       flags.reserve(harmful.size() - 1);

@@ -77,9 +77,7 @@ public:
     return 1.0 + cold_penalty_;
   }
 
-  [[nodiscard]] double warmth() const { return warmth_; }
-
-  /// Restore a previously observed warmth verbatim (snapshot/resume).
+  /// Set the warmth verbatim (0.0 = cold; a fresh measurement stream).
   void set_warmth(double warmth) { warmth_ = warmth; }
 
 private:

@@ -415,36 +415,4 @@ RbrPairResult SimExecutionBackend::invoke_rbr_pair(
   return result;
 }
 
-SimExecutionBackend::Snapshot SimExecutionBackend::snapshot_state() const {
-  Snapshot s;
-  s.rng_state = noise_.rng().state();
-  s.warmth = warmth_.warmth();
-  s.accumulated = accumulated_;
-  s.timed = breakdown_.timed;
-  s.precondition = breakdown_.precondition;
-  s.checkpoint = breakdown_.checkpoint;
-  s.faulted = breakdown_.faulted;
-  s.retry = breakdown_.retry;
-  s.saves = breakdown_.saves;
-  s.restores = breakdown_.restores;
-  s.checkpoint_bytes = breakdown_.checkpoint_bytes;
-  s.swap_toggle = swap_toggle_;
-  return s;
-}
-
-void SimExecutionBackend::restore_state(const Snapshot& snap) {
-  noise_.rng().set_state(snap.rng_state);
-  warmth_.set_warmth(snap.warmth);
-  accumulated_ = snap.accumulated;
-  breakdown_.timed = snap.timed;
-  breakdown_.precondition = snap.precondition;
-  breakdown_.checkpoint = snap.checkpoint;
-  breakdown_.faulted = snap.faulted;
-  breakdown_.retry = snap.retry;
-  breakdown_.saves = snap.saves;
-  breakdown_.restores = snap.restores;
-  breakdown_.checkpoint_bytes = snap.checkpoint_bytes;
-  swap_toggle_ = snap.swap_toggle;
-}
-
 }  // namespace peak::sim

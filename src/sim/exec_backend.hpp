@@ -10,7 +10,6 @@
 /// overhead accounting, which the tuning-time experiments (Figure 7 c,d)
 /// read back.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -100,7 +99,7 @@ struct RbrPairResult {
 /// Thread-compatibility: a backend is confined to one thread at a time
 /// (no internal locking). Concurrent evaluation uses one clone per worker
 /// slot — clones share only `fn`/`effects` (const) — and serializes all
-/// cross-clone merging through cost_deltas()/absorb_cost_deltas().
+/// cross-clone merging through costs()/absorb_cost_deltas().
 class SimExecutionBackend {
 public:
   SimExecutionBackend(const ir::Function& fn, TsTraits traits,
@@ -203,33 +202,12 @@ public:
   /// rating, which makes the rating a function of (seed, base, cfg) alone
   /// — independent of which backend clone runs it and of everything that
   /// clone measured before. Cost tallies are left untouched (the caller
-  /// extracts them as snapshot deltas).
+  /// resets them with reset_accumulated_time()).
   void reset_measurement_stream(std::uint64_t seed) {
     noise_.rng().reseed(seed);
     warmth_.set_warmth(0.0);
     swap_toggle_ = false;
   }
-
-  /// Bit-exact snapshot of the backend's mutable stochastic state, enough
-  /// to resume an interrupted tuning run deterministically. The base-run
-  /// and multiplier caches are deliberately absent: they memoize pure
-  /// functions and rebuild on demand without consuming randomness.
-  struct Snapshot {
-    std::array<std::uint64_t, 4> rng_state{};
-    double warmth = 0.0;
-    double accumulated = 0.0;
-    double timed = 0.0;
-    double precondition = 0.0;
-    double checkpoint = 0.0;
-    double faulted = 0.0;
-    double retry = 0.0;
-    std::uint64_t saves = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t checkpoint_bytes = 0;
-    bool swap_toggle = false;
-  };
-  [[nodiscard]] Snapshot snapshot_state() const;
-  void restore_state(const Snapshot& snap);
 
   /// Accumulated simulated wall time of everything this backend executed
   /// (timed runs, preconditioning, save/restore). This is the tuning cost.
@@ -260,10 +238,10 @@ public:
     return breakdown_;
   }
 
-  /// Cost tallies a span of work accumulated on one backend, expressed as
-  /// the difference between two of its snapshots. Exchange currency of
-  /// batched evaluation: a worker's clone measures a candidate, the merge
-  /// step folds the clone's deltas into the primary backend.
+  /// Cost tallies of one span of work on one backend. Exchange currency
+  /// of batched evaluation: a member rates on a slot clone whose tallies
+  /// were just reset, so costs() afterwards is exactly the member's cost,
+  /// and the merge step folds it into the primary backend.
   struct CostDeltas {
     double accumulated = 0.0;
     double timed = 0.0;
@@ -275,19 +253,18 @@ public:
     std::uint64_t restores = 0;
     std::uint64_t checkpoint_bytes = 0;
   };
-  [[nodiscard]] static CostDeltas cost_deltas(const Snapshot& before,
-                                              const Snapshot& after) {
-    CostDeltas d;
-    d.accumulated = after.accumulated - before.accumulated;
-    d.timed = after.timed - before.timed;
-    d.precondition = after.precondition - before.precondition;
-    d.checkpoint = after.checkpoint - before.checkpoint;
-    d.faulted = after.faulted - before.faulted;
-    d.retry = after.retry - before.retry;
-    d.saves = after.saves - before.saves;
-    d.restores = after.restores - before.restores;
-    d.checkpoint_bytes = after.checkpoint_bytes - before.checkpoint_bytes;
-    return d;
+  /// Everything counted since construction or the last
+  /// reset_accumulated_time().
+  [[nodiscard]] CostDeltas costs() const {
+    return {.accumulated = accumulated_,
+            .timed = breakdown_.timed,
+            .precondition = breakdown_.precondition,
+            .checkpoint = breakdown_.checkpoint,
+            .faulted = breakdown_.faulted,
+            .retry = breakdown_.retry,
+            .saves = breakdown_.saves,
+            .restores = breakdown_.restores,
+            .checkpoint_bytes = breakdown_.checkpoint_bytes};
   }
 
   /// Fold cost deltas measured on a clone into this backend's tallies.

@@ -9,7 +9,6 @@
 /// recipe, fast and high quality, with a tiny state that is cheap to copy
 /// when forking independent streams.
 
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string_view>
@@ -107,15 +106,6 @@ public:
 
   /// Lognormal with multiplicative sigma (mean of the log = 0).
   double lognormal(double sigma) { return std::exp(sigma * normal()); }
-
-  /// Raw generator state, for bit-exact snapshot/restore of a stream
-  /// (crash-safe resume serializes it into the tuning journal).
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const {
-    return {state_[0], state_[1], state_[2], state_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (std::size_t i = 0; i < 4; ++i) state_[i] = s[i];
-  }
 
 private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -383,8 +383,8 @@ TEST(Integration, DriverEmitsSpansWhenTracing) {
   for (const TraceEvent& e : sink->events()) names.insert(e.name);
   EXPECT_TRUE(names.count("profile"));
   EXPECT_TRUE(names.count("tune"));
-  EXPECT_TRUE(names.count("rate"));
-  EXPECT_TRUE(names.count("probe"));
+  EXPECT_TRUE(names.count("rate_batch"));
+  EXPECT_TRUE(names.count("probe_batch"));
 }
 
 }  // namespace

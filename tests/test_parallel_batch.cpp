@@ -14,6 +14,7 @@
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "search/combined_elimination.hpp"
+#include "support/check.hpp"
 #include "workloads/workload.hpp"
 
 namespace peak::core {
@@ -108,6 +109,10 @@ TEST_F(ParallelBatchTest, OutcomeBitIdenticalForRbrAndOddThreadCounts) {
     parallel.search_threads = threads;
     EXPECT_EQ(tune(s, parallel, rating::Method::kRBR), one);
   }
+  // Zero threads is not a thread count: the driver refuses it.
+  DriverOptions none = serial;
+  none.search_threads = 0;
+  EXPECT_THROW(tune(s, none, rating::Method::kRBR), support::CheckError);
 }
 
 TEST_F(ParallelBatchTest, OutcomeBitIdenticalUnderFaultInjection) {
@@ -172,45 +177,55 @@ TEST_F(ParallelBatchTest, JournalBytesIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelBatchTest, ResumeTruncatedJournalAcrossThreadCounts) {
-  // A run journaled at 4 threads, killed partway, must resume to the
-  // bit-identical outcome at 1 thread (and vice versa): the journal is a
-  // canonical-order record, not a schedule.
+  // A run journaled at 4 threads and killed after any record must resume
+  // to the bit-identical outcome at 1 thread and at 4: the journal is a
+  // canonical-order record of rating deltas, not a schedule, and replay
+  // merges them exactly as the live run did. The fault-free CBR run's
+  // first record of each batch carries the prologue's delta; the two
+  // injector runs add quarantine counts and fault events to the deltas.
   Setup s = setup("SWIM");
-  const std::string path = temp_path("peak_batch_journal_cut_src.jsonl");
-  DriverOptions options;
-  options.search_threads = 4;
-  options.fault.journal_path = path;
-  const TuningOutcome original = tune(s, options, rating::Method::kCBR);
+  const fault::FaultInjector injector = sweep_injector(0xfaU);
+  struct Run {
+    const char* name;
+    rating::Method method;
+    const fault::FaultInjector* injector;
+  };
+  for (const Run& run : {Run{"cbr", rating::Method::kCBR, nullptr},
+                         Run{"cbr_faults", rating::Method::kCBR, &injector},
+                         Run{"rbr_faults", rating::Method::kRBR, &injector}}) {
+    SCOPED_TRACE(run.name);
+    const std::string path = temp_path(
+        std::string("peak_batch_journal_cut_src_") + run.name + ".jsonl");
+    DriverOptions options;
+    options.search_threads = 4;
+    options.fault.injector = run.injector;
+    options.fault.journal_path = path;
+    const TuningOutcome original = tune(s, options, run.method);
 
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GT(lines.size(), 4u);
-  const std::string cut = temp_path("peak_batch_journal_cut.jsonl");
-  {
-    std::ofstream out(cut);
-    for (std::size_t i = 0; i < 1 + (lines.size() - 1) / 2; ++i)
-      out << lines[i] << '\n';
-    out << R"({"type":"eval","base":"dead)";  // partial trailing line
-  }
-
-  for (unsigned resume_threads : {1u, 4u}) {
-    SCOPED_TRACE("resume threads " + std::to_string(resume_threads));
-    const std::string copy = temp_path(
-        "peak_batch_journal_resume_" + std::to_string(resume_threads) +
-        ".jsonl");
+    std::vector<std::string> lines;
     {
-      std::ofstream out(copy, std::ios::binary);
-      out << slurp(cut);
+      std::ifstream in(path);
+      std::string line;
+      while (std::getline(in, line)) lines.push_back(line);
     }
-    DriverOptions resume_options;
-    resume_options.search_threads = resume_threads;
-    resume_options.fault.journal_path = copy;
-    resume_options.fault.resume = true;
-    EXPECT_EQ(tune(s, resume_options, rating::Method::kCBR), original);
+    ASSERT_GT(lines.size(), 4u);
+    for (std::size_t keep = 1; keep <= lines.size(); ++keep) {
+      for (unsigned resume_threads : {1u, 4u}) {
+        SCOPED_TRACE("records " + std::to_string(keep) + ", resume threads " +
+                     std::to_string(resume_threads));
+        const std::string cut = temp_path("peak_batch_journal_cut.jsonl");
+        {
+          std::ofstream out(cut, std::ios::binary);
+          for (std::size_t i = 0; i < keep; ++i) out << lines[i] << '\n';
+          out << R"({"type":"eval","base":"dead)";  // partial trailing line
+        }
+        DriverOptions resume_options = options;
+        resume_options.search_threads = resume_threads;
+        resume_options.fault.journal_path = cut;
+        resume_options.fault.resume = true;
+        ASSERT_EQ(tune(s, resume_options, run.method), original);
+      }
+    }
   }
 }
 

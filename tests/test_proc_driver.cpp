@@ -169,7 +169,6 @@ TEST_F(ProcDriverTest, IsolatedOutcomeIdenticalUnderStochasticFaults) {
   const TuningOutcome one = one_driver.tune(rating::Method::kCBR);
 
   DriverOptions isolated = serial;
-  isolated.search_threads = 0;
   isolated.isolate_workers = 4;
   TuningDriver iso_driver(*s.workload, s.profile, s.train, machine_,
                           effects_, isolated);

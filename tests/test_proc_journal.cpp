@@ -203,11 +203,11 @@ TEST_F(ProcDurabilityTest, CacheWriterProcessesInterleaveWholeLines) {
     if (pid == 0) {
       RatingCache cache(path);
       for (int i = 0; i < kEntries; ++i) {
-        RatingCacheEntry entry;
+        RatingDelta entry;
         entry.r = 1.0 + w;
         entry.invocations = static_cast<std::uint64_t>(i);
         // Long-ish payload so a non-atomic append would tear visibly.
-        entry.memo_added.emplace_back(std::string(120, 'a' + w),
+        entry.memo.emplace_back(std::string(120, 'a' + w),
                                       static_cast<double>(i));
         cache.store("w" + std::to_string(w) + "-" + std::to_string(i),
                     entry);
@@ -239,7 +239,7 @@ TEST_F(ProcDurabilityTest, CacheSkipsAndCountsDamagedLines) {
   {
     RatingCache cache(path);
     for (int i = 0; i < 5; ++i) {
-      RatingCacheEntry entry;
+      RatingDelta entry;
       entry.r = static_cast<double>(i);
       cache.store("k" + std::to_string(i), entry);
     }

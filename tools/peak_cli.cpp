@@ -75,9 +75,9 @@ struct Args {
   std::string journal_path;       ///< crash-safe tuning journal (tune)
   bool resume = false;            ///< replay the journal before tuning
   bool journal_strict = false;    ///< fail on corrupt journal lines
-  /// Batched search probing: 1 = batch semantics on one thread, N > 1
-  /// fans each probe round out over N workers (bit-identical outcome for
-  /// every N >= 1), 0 = the classic serial chained-stream path.
+  /// Batched search probing: N >= 1 fans each probe round out over N
+  /// slot threads (bit-identical outcome for every N; 0 is a usage
+  /// error).
   unsigned search_threads =
       std::max(1u, std::thread::hardware_concurrency());
   /// Out-of-process isolation: N > 0 forks each probe round out over N
@@ -162,8 +162,7 @@ int usage() {
                "                  truncating to the intact prefix\n"
                "  --search-threads N  (tune) parallel batched probing; "
                "default = cores,\n"
-               "                  1 = same result serially, 0 = classic "
-               "serial path\n"
+               "                  N >= 1, same result for every N\n"
                "  --isolate-workers N  (tune) rate in N supervised worker "
                "subprocesses\n"
                "                  (crash containment; bit-identical to "
@@ -590,12 +589,6 @@ int cmd_tune(const Args& args) {
                    "tuning (pick one worker transport)\n");
       return 2;
     }
-    if (args.search_threads == 0) {
-      std::fprintf(stderr,
-                   "distributed tuning needs batch semantics; drop "
-                   "--search-threads 0\n");
-      return 2;
-    }
   }
   const auto workload = workloads::make_workload(args.benchmark);
   if (!workload) {
@@ -958,6 +951,7 @@ int main(int argc, char** argv) {
       if (!v) return usage();
       args.search_threads =
           static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+      if (args.search_threads == 0) return usage();
     } else if (arg == "--distribute") {
       const char* v = next();
       if (!v) return usage();
