@@ -7,8 +7,6 @@
 /// Besides the human-readable stdout report, writes BENCH_headline.json
 /// (machine-readable, schema checked by tools/check_bench_json.py).
 
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -31,13 +29,15 @@
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
+#include "support/cpus.hpp"
 #include "support/http_server.hpp"
 
 namespace {
 
 using namespace peak;
 
-constexpr int kTimedRuns = 3;  ///< timed tunes per arm; the best one counts
+constexpr int kTimedRuns = 3;    ///< timed samples per arm; the best counts
+constexpr int kTimedTunes = 5;   ///< back-to-back tunes in one sample
 
 /// The batched search fan-out: whether it changes outcomes, how well a
 /// warm rating cache serves a rerun, and what it buys in wall time. Feeds
@@ -57,8 +57,9 @@ struct SearchBench {
   /// CPUs this process may run on (its affinity mask, what `nproc`
   /// prints), written as the `hardware_concurrency` key the gate reads.
   unsigned hardware_concurrency = 0;
-  double serial_wall_s = 0.0;    ///< best of kTimedRuns, 1 thread
-  double parallel_wall_s = 0.0;  ///< best of kTimedRuns, `threads`
+  int timed_tunes = 0;           ///< tunes per timed sample
+  double serial_wall_s = 0.0;    ///< best of kTimedRuns samples, 1 thread
+  double parallel_wall_s = 0.0;  ///< best of kTimedRuns samples, `threads`
   double search_speedup = 0.0;
   bool outcome_identical = false;
   std::uint64_t cold_stores = 0;
@@ -74,21 +75,11 @@ std::uint64_t counter_value(const std::string& name) {
   return it == snap.counters.end() ? 0 : it->second;
 }
 
-/// The number of CPUs in this process's affinity mask: a run confined
-/// with `taskset -c 0` can use one core however many the machine has.
-unsigned usable_cores() {
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof mask, &mask) == 0)
-    return static_cast<unsigned>(std::max(1, CPU_COUNT(&mask)));
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 /// The untimed arms: SWIM outcome identity and the cold/warm rating cache.
 /// Runs before the metrics snapshot, whose counters they feed.
 SearchBench run_search_bench() {
   SearchBench out;
-  out.hardware_concurrency = usable_cores();
+  out.hardware_concurrency = support::usable_cpus();
 
   const sim::MachineModel machine = sim::sparc2();
   const sim::FlagEffectModel effects(search::gcc33_o3_space());
@@ -149,9 +140,13 @@ SearchBench run_search_bench() {
 }
 
 /// The timed arms: EQUAKE/p4 tune_auto at 1 and at `out.threads` threads,
-/// best of kTimedRuns each, with the profile built once outside the timer.
+/// best of kTimedRuns samples each, with the profile built once outside
+/// the timer. A sample is kTimedTunes back-to-back tunes, each with a
+/// fresh driver: one ~0.2 s serial tune is too short to time on a shared
+/// host (the first parallel tune after an idle spell often runs twice as
+/// long as the next), five carry about a second of serial rating work.
 /// Runs after the metrics snapshot, so the drift-compared metrics and
-/// ledger stay those of the untimed arms; every run must reproduce the
+/// ledger stay those of the untimed arms; every tune must reproduce the
 /// first serial outcome.
 void time_search_fanout(SearchBench& out) {
   const sim::MachineModel machine = sim::pentium4();
@@ -165,28 +160,29 @@ void time_search_fanout(SearchBench& out) {
   out.timed_benchmark = workload->benchmark();
   out.timed_machine = machine.name;
 
+  out.timed_tunes = kTimedTunes;
   using clock = std::chrono::steady_clock;
   std::optional<core::TuningOutcome> first;
-  auto timed_tune = [&](unsigned threads) {
-    core::DriverOptions options;
-    options.search_threads = threads;
+  auto timed_sample = [&](unsigned threads) {
     const clock::time_point t0 = clock::now();
-    core::TuningDriver driver(*workload, profile, train, machine, effects,
-                              options);
-    const core::TuningOutcome outcome = driver.tune_auto();
-    const double wall_s =
-        std::chrono::duration<double>(clock::now() - t0).count();
-    if (!first) first = outcome;
-    if (!(outcome == *first)) out.outcome_identical = false;
-    return wall_s;
+    for (int tune = 0; tune < kTimedTunes; ++tune) {
+      core::DriverOptions options;
+      options.search_threads = threads;
+      core::TuningDriver driver(*workload, profile, train, machine, effects,
+                                options);
+      const core::TuningOutcome outcome = driver.tune_auto();
+      if (!first) first = outcome;
+      if (!(outcome == *first)) out.outcome_identical = false;
+    }
+    return std::chrono::duration<double>(clock::now() - t0).count();
   };
   // Alternate the arms so a change in host load weighs on both alike.
   out.serial_wall_s = out.parallel_wall_s =
       std::numeric_limits<double>::infinity();
   for (int run = 0; run < kTimedRuns; ++run) {
-    out.serial_wall_s = std::min(out.serial_wall_s, timed_tune(1));
+    out.serial_wall_s = std::min(out.serial_wall_s, timed_sample(1));
     out.parallel_wall_s =
-        std::min(out.parallel_wall_s, timed_tune(out.threads));
+        std::min(out.parallel_wall_s, timed_sample(out.threads));
   }
   out.search_speedup = out.serial_wall_s / out.parallel_wall_s;
 }
@@ -305,13 +301,14 @@ void append_telemetry_json(std::ostream& os, const TelemetryBench& t) {
 
 void print_search_bench(const SearchBench& s) {
   std::printf(
-      "Parallel batched search (%s/%s tune_auto, best of %d, %u threads on "
-      "%u usable cores):\n"
+      "Parallel batched search (%s/%s, %d tune_auto per sample, best of %d, "
+      "%u threads on %u usable cores):\n"
       "  serial %.3fs  parallel %.3fs  speedup %.2fx  outcomes %s "
       "(also SWIM/sparc2 CBR, 5 seeds)\n"
       "  rating cache (SWIM): %llu stored cold, warm rerun %llu/%llu hits "
       "(%.0f%%), outcome %s\n",
-      s.timed_benchmark.c_str(), s.timed_machine.c_str(), kTimedRuns,
+      s.timed_benchmark.c_str(), s.timed_machine.c_str(), s.timed_tunes,
+      kTimedRuns,
       s.threads, s.hardware_concurrency, s.serial_wall_s, s.parallel_wall_s,
       s.search_speedup, s.outcome_identical ? "identical" : "DIFFER",
       static_cast<unsigned long long>(s.cold_stores),
@@ -324,7 +321,8 @@ void print_search_bench(const SearchBench& s) {
 void append_search_json(std::ostream& os, const SearchBench& s) {
   os << "{\"benchmark\":\"SWIM\",\"timed_benchmark\":\""
      << obs::json_escape(s.timed_benchmark) << "\",\"timed_machine\":\""
-     << obs::json_escape(s.timed_machine) << "\",\"threads\":" << s.threads
+     << obs::json_escape(s.timed_machine)
+     << "\",\"timed_tunes\":" << s.timed_tunes << ",\"threads\":" << s.threads
      << ",\"hardware_concurrency\":" << s.hardware_concurrency
      << ",\"serial_wall_s\":" << s.serial_wall_s
      << ",\"parallel_wall_s\":" << s.parallel_wall_s

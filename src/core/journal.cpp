@@ -41,7 +41,7 @@ std::vector<JournalSegment> TuningJournal::load(const std::string& path,
                                                 bool strict,
                                                 LoadStats* stats) {
   std::ifstream in(path, std::ios::binary);
-  PEAK_CHECK(in.good(), "cannot read tuning journal " + path);
+  if (!in.good()) throw JournalError("cannot read tuning journal " + path);
   std::vector<JournalSegment> segments;
   LoadStats local;
   std::string line;
@@ -92,9 +92,8 @@ std::vector<JournalSegment> TuningJournal::load(const std::string& path,
     }
     if (!complete) break;  // partial trailing line: tolerated in any mode
     if (strict)
-      throw support::CheckError("journal " + path + " line " +
-                                std::to_string(line_no) +
-                                " is corrupt: " + damage);
+      throw JournalError("journal " + path + " line " +
+                         std::to_string(line_no) + " is corrupt: " + damage);
     // Lenient: the replayable prefix ends here. Everything from this line
     // on — including later lines that would parse — is discarded, because
     // replay consumes evals in key-checked sequence and cannot skip over

@@ -21,8 +21,17 @@
 #include <vector>
 
 #include "core/rating_delta.hpp"
+#include "support/check.hpp"
 
 namespace peak::core {
+
+/// A journal that cannot be resumed from: it cannot be read, or a strict
+/// load met a damaged complete line. what() names the journal (and the
+/// line).
+class JournalError : public support::CheckError {
+public:
+  using support::CheckError::CheckError;
+};
 
 /// One recorded evaluation: the (base, candidate) pair the search asked
 /// about and the delta its rating produced. The first record of a batch
@@ -84,7 +93,7 @@ public:
   /// ends the replayable prefix: lenient mode (strict == false, the
   /// default) returns the records before it, counts the discarded tail in
   /// `stats` and the "journal.corrupt_lines" obs counter; strict mode
-  /// throws support::CheckError instead.
+  /// throws JournalError instead, as does an unreadable file.
   static std::vector<JournalSegment> load(const std::string& path,
                                           bool strict = false,
                                           LoadStats* stats = nullptr);

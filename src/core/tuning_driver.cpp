@@ -3,10 +3,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <optional>
 #include <set>
 #include <utility>
@@ -372,8 +374,6 @@ private:
       run_isolated(targets);
       return;
     }
-    // Slot-scheduled so the item → backend-clone mapping is a pure
-    // function of the batch shape.
     const std::size_t slots =
         std::min<std::size_t>(options.search_threads, targets.size());
     ensure_slots(slots);
@@ -386,16 +386,31 @@ private:
     }
     if (pool_ == nullptr)
       pool_ = std::make_unique<support::ThreadPool>(options.search_threads);
+    // Each slot claims the next unrated member, so a slow member does not
+    // hold back the ones a fixed schedule would queue behind it. Which
+    // clone rates which member is left to timing: run_member() resets the
+    // clone's stream, warmth, swap order and cost tallies, so the choice
+    // can move only the clone's base-run cache hits, never a delta.
     // Workers adopt the submitting thread's attribution path so their
     // costs land on the same machine/benchmark/section/method node.
     const std::vector<std::string> path = obs::attribution_path();
-    pool_->slotted_for(
-        targets.size(), slots, [&](std::size_t j, std::size_t slot) {
-          obs::AttributionPathScope scope(path);
-          MemberState& m = *targets[j];
-          m.backend = slots_[slot].get();
-          run_member(m);  // never throws: errors land in m.delta.error
-        });
+    std::atomic<std::size_t> next{0};
+    auto drain = [&](std::size_t slot) {
+      obs::AttributionPathScope scope(path);
+      for (;;) {
+        const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
+        if (j >= targets.size()) return;
+        MemberState& m = *targets[j];
+        m.backend = slots_[slot].get();
+        run_member(m);  // never throws: errors land in m.delta.error
+      }
+    };
+    std::vector<std::future<void>> helpers;
+    helpers.reserve(slots - 1);
+    for (std::size_t slot = 1; slot < slots; ++slot)
+      helpers.push_back(pool_->submit([&drain, slot] { drain(slot); }));
+    drain(0);  // the caller rates too
+    for (std::future<void>& f : helpers) f.get();
   }
 
   /// Rate one member on its slot backend. Never throws: an exception
@@ -564,10 +579,7 @@ private:
         while (!rater.converged() && !rater.exhausted()) {
           const sim::Invocation& inv = next_invocation(m);
           const sim::InvocationResult r = measure(m, cfg, inv);
-          std::vector<double> counts(r.counters->begin(),
-                                     r.counters->end());
-          counts.push_back(1.0);  // constant component
-          rater.add(counts, r.time);
+          rater.add_counters(*r.counters, r.time);
         }
         if (!rater.converged()) ++m.delta.exhausted;
         const rating::Rating r = rater.rating();
@@ -699,9 +711,9 @@ private:
   // ---- Worker transports -------------------------------------------------
 
   /// Run `targets` in forked worker subprocesses under a
-  /// proc::Supervisor. Task i maps to worker i % W — the same schedule
-  /// slotted_for uses — and each task rates its member with run_member()
-  /// on the same slot clone the in-process path uses; only the transport
+  /// proc::Supervisor. Task i maps to worker i % W, and each task rates
+  /// its member with run_member() on the slot clone of that index, as the
+  /// in-process path does; only the transport
   /// differs (an encoded RatingDelta frame instead of shared memory). A
   /// worker death requeues the task onto a fresh fork with a bumped
   /// process-attempt counter; after max_task_attempts the config is

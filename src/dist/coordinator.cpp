@@ -414,7 +414,7 @@ std::vector<proc::TaskOutcome> Coordinator::run_round(
   undecided_ = tasks.size();
   requeue_.clear();
 
-  // slotted_for schedule over the fleet at round start: task i → ready
+  // Static schedule over the fleet at round start: task i → ready
   // worker i mod W, in join order. Between rounds the coordinator was
   // not draining sockets, so buffered heartbeats must not read as gaps:
   // every clock starts fresh here.

@@ -94,7 +94,7 @@ public:
   bool wait_for_fleet(std::string* error);
 
   /// Execute one batch round; returns one outcome per task, in task
-  /// order. Tasks map to the fleet with the slotted_for schedule (task i
+  /// order. Tasks map to the fleet with a static schedule (task i
   /// → ready worker i mod W, in join order); idle workers then steal
   /// requeued and queued work, so the schedule adapts to stragglers and
   /// deaths without affecting results (members are order-independent by

@@ -296,7 +296,7 @@ std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
     Slot& slot = slots_[s];
     slot.index = s;
     for (std::size_t i = s; i < num_tasks; i += workers)
-      slot.tasks.push_back(i);  // slotted_for's deterministic mapping
+      slot.tasks.push_back(i);  // deterministic mapping: task i → i % W
     slot.current_attempt = 0;
   }
   for (Slot& slot : slots_) spawn_slot(slot, /*respawn=*/false);

@@ -2,12 +2,11 @@
 
 /// \file supervisor.hpp
 /// Supervised execution of a batch of tasks across forked worker
-/// subprocesses (`peak::proc`). run(n) executes tasks 0..n-1 with the
-/// same deterministic slot mapping as support::ThreadPool::slotted_for —
-/// task i belongs to slot i % workers, each slot processes its items in
-/// increasing order — so a caller that merges results in canonical task
-/// order gets output independent of worker timing *and* of how many
-/// times a worker died along the way.
+/// subprocesses (`peak::proc`). run(n) executes tasks 0..n-1 with a
+/// deterministic slot mapping — task i belongs to slot i % workers, each
+/// slot processes its items in increasing order — so a caller that
+/// merges results in canonical task order gets output independent of
+/// worker timing *and* of how many times a worker died along the way.
 ///
 /// The supervisor's event loop polls every worker pipe, feeds a
 /// watchdog, and turns each worker death into a typed WorkerFailure:

@@ -41,6 +41,11 @@ Rating ContextBasedRater::rating() const {
   return buckets_.at(dominant_context()).rater.rating();
 }
 
+bool ContextBasedRater::converged() const {
+  if (buckets_.empty()) return false;
+  return buckets_.at(dominant_context()).rater.converged();
+}
+
 Rating ContextBasedRater::rating_for(const ContextKey& context) const {
   auto it = buckets_.find(context);
   if (it == buckets_.end()) return Rating{};

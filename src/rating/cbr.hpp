@@ -45,7 +45,9 @@ public:
   /// All per-context ratings (for adaptive tuning / reports).
   [[nodiscard]] std::map<ContextKey, Rating> all_ratings() const;
 
-  [[nodiscard]] bool converged() const { return rating().converged; }
+  /// The dominant bucket's converged(): rating().converged without a
+  /// pass over the window when the running sums can decide it.
+  [[nodiscard]] bool converged() const;
   /// Exhausted: the dominant bucket hit the sample cap without converging
   /// — the consultant's cue to switch to MBR/RBR.
   [[nodiscard]] bool exhausted() const;

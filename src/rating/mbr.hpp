@@ -14,7 +14,9 @@
 /// of squares to the total sum of squares of the TS execution times.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rating/rating.hpp"
@@ -46,6 +48,16 @@ struct MbrProfile {
   std::optional<std::size_t> dominant_component;
 };
 
+/// rating() fits the window exactly (Householder QR with the
+/// non-negativity clamp, then the standard error of EVAL). converged()
+/// answers the same question after every sample without a fit: the rater
+/// accumulates XᵀX (bit-identical to Matrix::gram), Xᵀy and yᵀy row by
+/// row, solves the normal equations, and bounds how far the QR fit's
+/// coefficients, EVAL and residual can lie from that solution. When the
+/// bounds place the verdict and every coefficient is positive by more
+/// than its bound (so the clamp cannot act), that is the verdict;
+/// otherwise converged() falls back to rating(). Either way it returns
+/// exactly rating().converged.
 class ModelBasedRater {
 public:
   ModelBasedRater(std::size_t num_components, MbrProfile profile,
@@ -55,26 +67,43 @@ public:
   /// num_components, constant column last = 1) and measured time.
   void add(const std::vector<double>& counts, double time);
 
+  /// Record one invocation from its instrumentation counters (length
+  /// num_components - 1); the constant component's 1 is appended.
+  void add_counters(std::span<const std::uint64_t> counters, double time);
+
   [[nodiscard]] Rating rating() const;
 
   /// The fitted component-time vector T (empty before enough samples).
   [[nodiscard]] std::vector<double> component_times() const;
 
   [[nodiscard]] std::size_t size() const { return times_.size(); }
-  [[nodiscard]] bool converged() const { return rating().converged; }
+  /// rating().converged, decided from the running sums when it can be.
+  [[nodiscard]] bool converged() const;
   [[nodiscard]] bool exhausted() const {
     return times_.size() >= policy_.max_samples;
   }
   void reset();
 
 private:
+  /// Fold the row just appended to rows_ into the running sums.
+  void commit_row(double time);
+  [[nodiscard]] std::size_t min_rows() const;
+  [[nodiscard]] stats::Matrix design() const;
+  [[nodiscard]] std::vector<double> weights() const;
   [[nodiscard]] stats::RegressionResult fit() const;
+  /// The verdict from the running sums, or nullopt when the rounding
+  /// bounds cannot place it.
+  [[nodiscard]] std::optional<bool> running_verdict() const;
 
   std::size_t num_components_;
   MbrProfile profile_;
   MbrPolicy policy_;
-  std::vector<std::vector<double>> counts_;
+  std::vector<double> rows_;  ///< count rows, row-major, one per time
   std::vector<double> times_;
+  stats::Matrix gram_;        ///< XᵀX
+  std::vector<double> xty_;   ///< Xᵀy
+  double yty_ = 0.0;          ///< yᵀy
+  bool nonfinite_ = false;    ///< a non-finite count or time was added
 };
 
 }  // namespace peak::rating

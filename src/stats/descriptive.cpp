@@ -58,6 +58,39 @@ double median_sorted(std::span<const double> sorted) {
   return 0.5 * (sorted[mid - 1] + sorted[mid]);
 }
 
+namespace {
+
+/// The k-th smallest (0-based) of the deviations from `med` over a sorted
+/// span split at `split`: the left run yields med - sorted[split-1-i]
+/// (ascending in i), the right run sorted[split+i] - med (ascending in
+/// i). Binary search for how many of the k+1 smallest come from the left
+/// run, O(log n). The result is one of the same doubles a merge of the two
+/// runs would reach; ties between the runs do not change the value.
+double kth_deviation(std::span<const double> sorted, std::size_t split,
+                     double med, std::size_t k) {
+  const std::size_t a = split;
+  const std::size_t b = sorted.size() - split;
+  auto left = [&](std::size_t i) { return med - sorted[split - 1 - i]; };
+  auto right = [&](std::size_t j) { return sorted[split + j] - med; };
+  // i from the left run, j = k + 1 - i from the right run.
+  std::size_t lo = k + 1 > b ? k + 1 - b : 0;
+  std::size_t hi = std::min(a, k + 1);
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo) / 2;
+    if (right(k - i) > left(i))
+      lo = i + 1;  // the right run's last taken deviation is too large
+    else
+      hi = i;
+  }
+  const std::size_t i = lo;
+  const std::size_t j = k + 1 - i;
+  if (i == 0) return right(j - 1);
+  if (j == 0) return left(i - 1);
+  return std::max(left(i - 1), right(j - 1));
+}
+
+}  // namespace
+
 double mad_sorted(std::span<const double> sorted) {
   if (sorted.empty()) return 0.0;
   PEAK_CHECK(std::isfinite(sorted.front()) && std::isfinite(sorted.back()),
@@ -65,29 +98,15 @@ double mad_sorted(std::span<const double> sorted) {
   const double med = median_sorted(sorted);
   const std::size_t n = sorted.size();
   // Deviations |x - med| of the left run (x <= med) grow toward index 0,
-  // of the right run (x > med) toward index n-1. Merge the two runs from
-  // the split outward until the middle order statistics are reached.
-  std::size_t l = static_cast<std::size_t>(
+  // of the right run (x > med) toward index n-1; the middle order
+  // statistics of their union are the MAD's median.
+  const auto split = static_cast<std::size_t>(
       std::upper_bound(sorted.begin(), sorted.end(), med) - sorted.begin());
-  std::size_t r = l;
   const std::size_t mid = n / 2;
-  double prev = 0.0;
-  double cur = 0.0;
-  for (std::size_t k = 0; k <= mid; ++k) {
-    prev = cur;
-    const double dl =
-        l > 0 ? med - sorted[l - 1] : std::numeric_limits<double>::infinity();
-    const double dr =
-        r < n ? sorted[r] - med : std::numeric_limits<double>::infinity();
-    if (dl <= dr) {
-      cur = dl;
-      --l;
-    } else {
-      cur = dr;
-      ++r;
-    }
-  }
-  return 1.4826 * (n % 2 == 1 ? cur : 0.5 * (prev + cur));
+  const double cur = kth_deviation(sorted, split, med, mid);
+  if (n % 2 == 1) return 1.4826 * cur;
+  const double prev = kth_deviation(sorted, split, med, mid - 1);
+  return 1.4826 * (0.5 * (prev + cur));
 }
 
 double min(std::span<const double> xs) {

@@ -33,11 +33,10 @@ double median_sorted(std::span<const double> sorted);
 
 /// mad() of an already-sorted (ascending) span without copying: the
 /// absolute deviations from the median form two sorted runs around the
-/// median split, so the middle order statistics are selected by walking
-/// the runs outward. O(n), allocation-free. The windowed rater keeps its
-/// samples sorted incrementally and calls this once per rating — with
-/// mad()'s copy + nth_element this was the single hottest path in the
-/// whole tuner.
+/// median split, so the middle order statistics are found by binary
+/// search over the two runs. O(log n), allocation-free, and bit-identical
+/// to mad(). The windowed rater keeps its samples sorted incrementally and
+/// calls this after every sample.
 double mad_sorted(std::span<const double> sorted);
 
 double min(std::span<const double> xs);

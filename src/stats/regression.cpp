@@ -120,8 +120,12 @@ RegressionResult least_squares(const Matrix& design,
 }
 
 std::optional<Matrix> gram_inverse(const Matrix& design) {
-  const std::size_t n = design.cols();
-  Matrix a = design.gram();
+  return invert_gram(design.gram());
+}
+
+std::optional<Matrix> invert_gram(Matrix a) {
+  const std::size_t n = a.cols();
+  PEAK_CHECK(a.rows() == n, "a Gram matrix is square");
   // Augment with the identity and run Gauss-Jordan with partial pivoting.
   Matrix inv(n, n);
   for (std::size_t i = 0; i < n; ++i) inv(i, i) = 1.0;
@@ -163,13 +167,21 @@ double functional_std_error(const Matrix& design,
              "weight arity must match design columns");
   const std::optional<Matrix> ginv = gram_inverse(design);
   if (!ginv) return -1.0;
-  const double sigma2 =
-      fit.ss_residual /
-      static_cast<double>(design.rows() - design.cols());
+  return functional_std_error(*ginv, design.rows(), fit.ss_residual,
+                              weights);
+}
+
+double functional_std_error(const Matrix& gram_inv, std::size_t rows,
+                            double ss_residual,
+                            const std::vector<double>& weights) {
+  const std::size_t cols = gram_inv.cols();
+  PEAK_CHECK(rows > cols && weights.size() == cols,
+             "standard error needs rows > cols and one weight per column");
+  const double sigma2 = ss_residual / static_cast<double>(rows - cols);
   double quad = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i)
-    for (std::size_t j = 0; j < weights.size(); ++j)
-      quad += weights[i] * (*ginv)(i, j) * weights[j];
+  for (std::size_t i = 0; i < cols; ++i)
+    for (std::size_t j = 0; j < cols; ++j)
+      quad += weights[i] * gram_inv(i, j) * weights[j];
   return quad >= 0.0 ? std::sqrt(sigma2 * quad) : -1.0;
 }
 

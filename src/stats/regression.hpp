@@ -62,10 +62,22 @@ RegressionResult least_squares(const Matrix& design,
 /// produces (n ≤ ~8); uses Gauss-Jordan with partial pivoting.
 std::optional<Matrix> gram_inverse(const Matrix& design);
 
+/// invert_gram(design.gram()) is gram_inverse(design): the inverse of a
+/// Gram matrix the caller already holds (e.g. accumulated row by row).
+std::optional<Matrix> invert_gram(Matrix gram);
+
 /// Standard error of a linear functional cᵀx̂ of the fitted coefficients.
 /// Returns a negative value when the covariance is unavailable.
 double functional_std_error(const Matrix& design,
                             const RegressionResult& fit,
+                            const std::vector<double>& weights);
+
+/// The same standard error from the inverse Gram matrix of a `rows`-row
+/// design and its residual sum of squares: sqrt(σ²·cᵀ(AᵀA)⁻¹c) with
+/// σ² = ss_residual / (rows - cols); negative when cᵀ(AᵀA)⁻¹c is.
+/// Non-decreasing in ss_residual.
+double functional_std_error(const Matrix& gram_inv, std::size_t rows,
+                            double ss_residual,
                             const std::vector<double>& weights);
 
 /// Fit with non-negativity clamping: component times are physical durations

@@ -112,39 +112,6 @@ public:
     if (first_error) std::rethrow_exception(first_error);
   }
 
-  /// Run fn(i, slot) for i in [0, n) with a *deterministic* schedule:
-  /// item i belongs to slot i % slots, and each slot executes its items
-  /// in increasing i within a single task. Unlike parallel_for's dynamic
-  /// claiming, the item → slot → order mapping is a pure function of
-  /// (n, slots), so stateful per-slot resources (e.g. backend clones in
-  /// batched evaluation) see an item sequence independent of worker
-  /// timing. Exception guarantee is deterministic too: every item runs,
-  /// and the exception of the *lowest item index* is rethrown afterwards
-  /// (parallel_for rethrows the first exception *observed*, which races).
-  template <typename Fn>
-  void slotted_for(std::size_t n, std::size_t slots, Fn&& fn) {
-    if (n == 0) return;
-    slots = std::max<std::size_t>(1, std::min(slots, n));
-    std::vector<std::exception_ptr> errors(n);
-    auto run_slot = [n, slots, &fn, &errors](std::size_t slot) {
-      for (std::size_t i = slot; i < n; i += slots) {
-        try {
-          fn(i, slot);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::future<void>> futs;
-    futs.reserve(slots - 1);
-    for (std::size_t s = 1; s < slots; ++s)
-      futs.push_back(submit([&run_slot, s] { run_slot(s); }));
-    run_slot(0);  // the caller works instead of idling
-    for (auto& f : futs) f.get();
-    for (std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
-
 private:
   void worker_loop() {
     for (;;) {

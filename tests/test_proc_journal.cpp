@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -187,6 +188,50 @@ TEST_F(ProcDurabilityTest, StrictResumeRefusesACorruptJournal) {
   EXPECT_THROW(tune(s, resume, rating::Method::kCBR),
                support::CheckError);
 }
+
+#ifdef PEAK_CLI_PATH
+/// `peak tune --resume --journal-strict` refuses a damaged journal with
+/// exit 1 and a message naming the journal and the line, and --resume
+/// refuses a journal it cannot read the same way; both used to end in an
+/// uncaught exception (abort, exit 134).
+TEST_F(ProcDurabilityTest, CliRefusesDamagedOrMissingJournalWithExitOne) {
+  Setup s = setup("SWIM");
+  TuningOutcome original;
+  const std::string path =
+      corrupted_journal(s, "peak_journal_cli_strict.jsonl", &original);
+  const std::string err_path = temp_path("peak_journal_cli_strict.err");
+  auto resume = [&](const std::string& journal, std::string* err) {
+    const std::string cmd =
+        std::string(PEAK_CLI_PATH) +
+        " tune --benchmark swim --machine sparc2 --search-threads 1"
+        " --resume --journal-strict --journal " +
+        journal + " > /dev/null 2> " + err_path;
+    const int status = std::system(cmd.c_str());
+    std::ifstream in(err_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    *err = text.str();
+    return status;
+  };
+
+  std::string err;
+  int status = resume(path, &err);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << err;
+  const std::string damaged_line =
+      "line " + std::to_string(read_lines(path).size() / 2 + 1);
+  EXPECT_NE(err.find("refusing to resume"), std::string::npos) << err;
+  EXPECT_NE(err.find(path + " " + damaged_line + " is corrupt"),
+            std::string::npos)
+      << err;
+
+  status = resume(temp_path("peak_journal_cli_missing.jsonl"), &err);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << err;
+  EXPECT_NE(err.find("cannot read tuning journal"), std::string::npos)
+      << err;
+}
+#endif
 
 TEST_F(ProcDurabilityTest, CacheWriterProcessesInterleaveWholeLines) {
   const std::string path = temp_path("peak_cache_two_writers.jsonl");

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "rating/baselines.hpp"
+#include "rating/cbr.hpp"
 #include "rating/window.hpp"
 #include "stats/descriptive.hpp"
+#include "stats/outlier.hpp"
 #include "support/rng.hpp"
 
 namespace peak::rating {
@@ -220,6 +227,209 @@ TEST(WholeProgramRater, GarbageRunTotalsExhaustTheRater) {
   EXPECT_TRUE(rater.exhausted());
   EXPECT_FALSE(rater.converged());
   EXPECT_EQ(rater.runs(), 0u);
+}
+
+// ---- Running verdict vs exact rating -------------------------------------
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// What rating() computed before the rater kept running sums: the generic
+/// outlier filter over the window, mean and two-pass variance of the kept
+/// samples, and the test stddev(mean) / |EVAL| < cv_threshold.
+Rating reference_rating(const std::vector<double>& window,
+                        const WindowPolicy& policy) {
+  Rating r;
+  r.samples = window.size();
+  if (window.empty()) return r;
+  const stats::OutlierResult f = stats::filter_outliers(window, policy.outliers);
+  r.eval = stats::mean(f.kept);
+  r.var = stats::variance(f.kept);
+  if (f.kept.size() >= policy.min_samples && r.eval != 0.0) {
+    const double sem = std::sqrt(r.var / static_cast<double>(f.kept.size()));
+    r.converged = sem / std::fabs(r.eval) < policy.cv_threshold;
+  }
+  return r;
+}
+
+/// stddev(mean) / |EVAL| of the reference rating, or NaN when the window
+/// cannot converge (too few kept samples or EVAL = 0).
+double reference_statistic(const std::vector<double>& window,
+                           const WindowPolicy& policy) {
+  const stats::OutlierResult f = stats::filter_outliers(window, policy.outliers);
+  const double eval = stats::mean(f.kept);
+  if (f.kept.empty() || f.kept.size() < policy.min_samples || eval == 0.0)
+    return std::numeric_limits<double>::quiet_NaN();
+  return std::sqrt(stats::variance(f.kept) /
+                   static_cast<double>(f.kept.size())) /
+         std::fabs(eval);
+}
+
+/// Feed `stream`; after every add, converged() (asked first, so no cached
+/// rating answers it) must equal rating().converged, and rating() must
+/// equal the reference bit for bit. Counts the converged adds.
+void feed_window(const WindowPolicy& policy, const std::vector<double>& stream,
+                 const std::string& what, std::size_t* converged_adds) {
+  WindowedRater rater(policy);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    rater.add(stream[i]);
+    const bool fast = rater.converged();
+    const Rating r = rater.rating();
+    const Rating ref = reference_rating(rater.samples(), policy);
+    ASSERT_EQ(fast, r.converged) << what << " add " << i;
+    ASSERT_EQ(r.samples, ref.samples) << what << " add " << i;
+    ASSERT_EQ(bits(r.eval), bits(ref.eval)) << what << " add " << i;
+    ASSERT_EQ(bits(r.var), bits(ref.var)) << what << " add " << i;
+    ASSERT_EQ(r.converged, ref.converged) << what << " add " << i;
+    if (fast) ++*converged_adds;
+  }
+}
+
+/// Seeded streams that stress the kept set and the variance bound.
+std::vector<double> window_stream(int kind, std::uint64_t seed,
+                                  std::size_t n) {
+  support::Rng rng(seed);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < n; ++i) {
+    double x = 0.0;
+    switch (kind) {
+      case 0:  // heavy ties: a handful of levels, MAD often exactly 0
+        x = 100.0 + 0.5 * static_cast<double>(rng.uniform_int(0, 2) *
+                                              rng.uniform_int(0, 1));
+        break;
+      case 1:  // frequent spikes: the drop quota binds
+        x = 100.0 * rng.lognormal(0.01) * (rng.bernoulli(0.35) ? 7.0 : 1.0);
+        break;
+      case 2:  // occasional spikes on both sides
+        x = 100.0 * rng.lognormal(0.03);
+        if (i % 13 == 5) x *= 4.0;
+        if (i % 29 == 3) x *= 0.2;
+        break;
+      case 3:  // non-finite readings between good ones
+        x = rng.bernoulli(0.1) ? (rng.bernoulli(0.5) ? nan : -inf)
+                               : 50.0 * rng.lognormal(0.02);
+        break;
+      case 4:  // a large offset: the shifted sums must not cancel
+        x = 1e9 + rng.normal(0.0, 3.0);
+        break;
+      case 5:  // a drifting mean, so the shift falls behind
+        x = 100.0 + 0.05 * static_cast<double>(i) + rng.normal(0.0, 0.5);
+        break;
+      case 6:  // a mean near zero: EVAL tiny against the spread
+        x = rng.normal(0.001, 1.0);
+        break;
+      default:  // bimodal
+        x = rng.bernoulli(0.5) ? rng.normal(10.0, 0.1) : rng.normal(12.0, 0.1);
+    }
+    xs.push_back(x);
+  }
+  return xs;
+}
+
+std::vector<WindowPolicy> window_policies() {
+  std::vector<WindowPolicy> out;
+  for (stats::OutlierRule rule : {stats::OutlierRule::kMad,
+                                  stats::OutlierRule::kNone,
+                                  stats::OutlierRule::kSigma}) {
+    WindowPolicy p;
+    p.outliers.rule = rule;
+    out.push_back(p);
+    p.min_samples = 1;
+    p.cv_threshold = 0.02;
+    out.push_back(p);
+    p.min_samples = 0;
+    p.cv_threshold = 1e-4;
+    p.outliers.max_drop_fraction = 0.05;
+    out.push_back(p);
+  }
+  out.push_back(WholeProgramRater::whl_policy());
+  return out;
+}
+
+TEST(WindowedRaterRunning, VerdictMatchesExactRatingOnSeededStreams) {
+  std::size_t converged_adds = 0;
+  for (int kind = 0; kind < 8; ++kind) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::vector<double> stream = window_stream(kind, seed, 400);
+      const std::vector<WindowPolicy> policies = window_policies();
+      for (std::size_t p = 0; p < policies.size(); ++p)
+        ASSERT_NO_FATAL_FAILURE(feed_window(
+            policies[p], stream,
+            "kind " + std::to_string(kind) + " seed " +
+                std::to_string(seed) + " policy " + std::to_string(p),
+            &converged_adds));
+    }
+  }
+  EXPECT_GT(converged_adds, 0u);  // both verdicts were exercised
+}
+
+/// Thresholds set to the exact statistic of one window (verdict false:
+/// the test is strict) and to the next double above it (true): the
+/// running bound cannot separate them, so these adds take the exact path.
+TEST(WindowedRaterRunning, VerdictExactWhenStatisticSitsOnThreshold) {
+  for (int kind : {2, 4, 5, 7}) {
+    const std::vector<double> stream = window_stream(kind, 11, 300);
+    for (stats::OutlierRule rule :
+         {stats::OutlierRule::kMad, stats::OutlierRule::kNone}) {
+      WindowPolicy base;
+      base.outliers.rule = rule;
+      for (std::size_t at : {12u, 57u, 140u, 299u}) {
+        const std::vector<double> prefix(stream.begin(),
+                                         stream.begin() + at + 1);
+        const double stat = reference_statistic(prefix, base);
+        ASSERT_TRUE(std::isfinite(stat)) << "kind " << kind << " at " << at;
+        for (double threshold :
+             {stat, std::nextafter(stat, std::numeric_limits<double>::infinity())}) {
+          WindowPolicy policy = base;
+          policy.cv_threshold = threshold;
+          policy.max_samples = 100000;
+          WindowedRater rater(policy);
+          for (std::size_t i = 0; i <= at; ++i) rater.add(stream[i]);
+          const bool fast = rater.converged();
+          EXPECT_EQ(fast, threshold > stat) << "kind " << kind << " at " << at;
+          EXPECT_EQ(fast, rater.rating().converged);
+          std::size_t unused = 0;
+          ASSERT_NO_FATAL_FAILURE(feed_window(
+              policy, stream, "threshold kind " + std::to_string(kind),
+              &unused));
+        }
+      }
+    }
+  }
+}
+
+TEST(WindowedRaterRunning, ResetRestartsTheRunningState) {
+  WindowPolicy policy;
+  WindowedRater rater(policy);
+  for (double x : window_stream(1, 5, 200)) rater.add(x);
+  rater.reset();
+  const std::vector<double> stream = window_stream(2, 6, 200);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    rater.add(stream[i]);
+    const bool fast = rater.converged();
+    ASSERT_EQ(fast, reference_rating(rater.samples(), policy).converged)
+        << "add " << i;
+  }
+}
+
+TEST(ContextBasedRaterRunning, VerdictIsTheDominantBucketsExactVerdict) {
+  support::Rng rng(21);
+  WindowPolicy policy;
+  policy.cv_threshold = 0.002;
+  ContextBasedRater rater(policy);
+  for (int i = 0; i < 900; ++i) {
+    const double ctx = static_cast<double>(rng.uniform_int(0, 2));
+    double t = (1.0 + ctx) * 100.0 * rng.lognormal(0.02);
+    if (i % 31 == 0) t *= 5.0;
+    rater.add({ctx}, t);
+    const bool fast = rater.converged();
+    ASSERT_EQ(fast, rater.rating().converged) << "add " << i;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -98,6 +100,41 @@ TEST(SortedVariants, MedianSortedMatchesMedian) {
   }
 }
 
+/// The O(n) merge walk mad_sorted() used before its binary search: the
+/// oracle the O(log n) version must match bit for bit.
+double mad_sorted_walk(const std::vector<double>& sorted) {
+  if (sorted.empty()) return 0.0;
+  const double med = median_sorted(sorted);
+  const std::size_t n = sorted.size();
+  std::size_t l = static_cast<std::size_t>(
+      std::upper_bound(sorted.begin(), sorted.end(), med) - sorted.begin());
+  std::size_t r = l;
+  const std::size_t mid = n / 2;
+  double prev = 0.0;
+  double cur = 0.0;
+  for (std::size_t k = 0; k <= mid; ++k) {
+    prev = cur;
+    const double dl =
+        l > 0 ? med - sorted[l - 1] : std::numeric_limits<double>::infinity();
+    const double dr =
+        r < n ? sorted[r] - med : std::numeric_limits<double>::infinity();
+    if (dl <= dr) {
+      cur = dl;
+      --l;
+    } else {
+      cur = dr;
+      ++r;
+    }
+  }
+  return 1.4826 * (n % 2 == 1 ? cur : 0.5 * (prev + cur));
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
 TEST(SortedVariants, MadSortedMatchesMad) {
   support::Rng rng(12);
   for (int n = 0; n <= 64; ++n) {
@@ -106,7 +143,42 @@ TEST(SortedVariants, MadSortedMatchesMad) {
       xs.push_back(rng.lognormal(0.5) * (i % 5 == 0 ? 100.0 : 1.0));
     std::vector<double> sorted = xs;
     std::sort(sorted.begin(), sorted.end());
-    EXPECT_DOUBLE_EQ(mad_sorted(sorted), mad(xs)) << "n=" << n;
+    EXPECT_EQ(bits(mad_sorted(sorted)), bits(mad(xs))) << "n=" << n;
+    EXPECT_EQ(bits(mad_sorted(sorted)), bits(mad_sorted_walk(sorted)))
+        << "n=" << n;
+  }
+}
+
+/// Odd and even sizes, heavy duplicates (including runs equal to the
+/// median on both sides of it), skewed runs and single-sided data.
+TEST(SortedVariants, MadSortedMatchesWalkBitForBit) {
+  support::Rng rng(13);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 97));
+    const int levels = static_cast<int>(rng.uniform_int(1, 6));
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (trial % 4) {
+        case 0:  // few distinct values: ties everywhere
+          xs.push_back(0.1 * static_cast<double>(rng.uniform_int(0, levels)));
+          break;
+        case 1:  // a tight cluster plus a far tail on one side
+          xs.push_back(rng.bernoulli(0.2) ? rng.uniform(50, 1e4)
+                                          : rng.normal(10.0, 0.01));
+          break;
+        case 2:  // values that round differently around the median
+          xs.push_back(1.0 + static_cast<double>(rng.uniform_int(0, 8)) *
+                                 std::numeric_limits<double>::epsilon());
+          break;
+        default:
+          xs.push_back(rng.lognormal(1.0));
+      }
+    }
+    std::sort(xs.begin(), xs.end());
+    ASSERT_EQ(bits(mad_sorted(xs)), bits(mad_sorted_walk(xs)))
+        << "trial=" << trial << " n=" << n;
+    ASSERT_EQ(bits(mad_sorted(xs)), bits(mad(xs)))
+        << "trial=" << trial << " n=" << n;
   }
 }
 

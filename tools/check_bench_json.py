@@ -221,10 +221,13 @@ def check_engine_speedup(fragment, path):
 def check_search(fragment, path):
     """The parallel-search / rating-cache section of a headline document.
 
-    What is timed: one tune that carries rating work, named by
+    What is timed: a tune that carries rating work, named by
     `timed_benchmark` and `timed_machine` (EQUAKE on p4 through the
     consultant chain, where CBR and MBR are abandoned and RBR finishes),
-    at 1 thread and at `threads` threads, best of 3 each. Rating is the
+    at 1 thread and at `threads` threads, best of 3 samples each. A sample
+    is `timed_tunes` back-to-back tunes: one ~0.2 s tune is too short to
+    time on a shared host, a handful carry about a second of serial
+    rating work. Rating is the
     work the batched fan-out spreads over its slots, so only a tune that
     is mostly rating can show what the fan-out buys; a ~2-3 ms SWIM CBR
     tune times its fixed costs instead (a serial base-rating prologue,
@@ -247,6 +250,7 @@ def check_search(fragment, path):
     _check_string(fragment, "benchmark", path)
     _check_string(fragment, "timed_benchmark", path)
     _check_string(fragment, "timed_machine", path)
+    _check_number(fragment, "timed_tunes", path, minimum=1)
     _check_number(fragment, "threads", path, minimum=1)
     _check_number(fragment, "hardware_concurrency", path, minimum=1)
     _check_number(fragment, "serial_wall_s", path, minimum=0)
@@ -772,6 +776,7 @@ GOOD_SEARCH = {
     "benchmark": "SWIM",
     "timed_benchmark": "EQUAKE",
     "timed_machine": "p4",
+    "timed_tunes": 5,
     "threads": 4,
     "hardware_concurrency": 8,
     "serial_wall_s": 1.2,
@@ -977,6 +982,8 @@ def self_test():
     expect(with_search(lambda s: [s.pop(key) for key in (
         "timed_benchmark", "timed_machine")]), False,
            "search section that does not name its timed case accepted")
+    expect(with_search(lambda s: s.pop("timed_tunes")), False,
+           "search section that does not count its timed tunes accepted")
     expect(with_search(lambda s: s["cache"].update(cold_stores=0)), False,
            "cold run that stored nothing accepted")
 

@@ -24,7 +24,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -33,6 +32,7 @@
 #include "core/config_store.hpp"
 #include "core/rating_cache.hpp"
 #include "core/report.hpp"
+#include "core/journal.hpp"
 #include "core/jsonl.hpp"
 #include "core/remote_eval.hpp"
 #include "core/tuning_driver.hpp"
@@ -48,6 +48,7 @@
 #include "obs/telemetry_server.hpp"
 #include "obs/trace.hpp"
 #include "proc/worker_table.hpp"
+#include "support/cpus.hpp"
 #include "support/http_server.hpp"
 #include "support/shutdown.hpp"
 #include "support/table.hpp"
@@ -78,8 +79,7 @@ struct Args {
   /// Batched search probing: N >= 1 fans each probe round out over N
   /// slot threads (bit-identical outcome for every N; 0 is a usage
   /// error).
-  unsigned search_threads =
-      std::max(1u, std::thread::hardware_concurrency());
+  unsigned search_threads = support::usable_cpus();
   /// Out-of-process isolation: N > 0 forks each probe round out over N
   /// supervised worker subprocesses (bit-identical to --search-threads N;
   /// worker crashes are contained and retried). 0 = in-process.
@@ -161,7 +161,7 @@ int usage() {
                "instead of\n"
                "                  truncating to the intact prefix\n"
                "  --search-threads N  (tune) parallel batched probing; "
-               "default = cores,\n"
+               "default = usable CPUs,\n"
                "                  N >= 1, same result for every N\n"
                "  --isolate-workers N  (tune) rate in N supervised worker "
                "subprocesses\n"
@@ -491,6 +491,9 @@ int cmd_tune_driver(const Args& args,
   } catch (const fault::FaultError& e) {
     std::fprintf(stderr, "tuning died on an unguarded fault: %s\n",
                  e.what());
+    return 1;
+  } catch (const core::JournalError& e) {
+    std::fprintf(stderr, "refusing to resume: %s\n", e.what());
     return 1;
   }
   telemetry.phase("reporting");
