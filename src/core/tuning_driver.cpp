@@ -711,13 +711,14 @@ private:
   // ---- Worker transports -------------------------------------------------
 
   /// Run `targets` in forked worker subprocesses under a
-  /// proc::Supervisor. Task i maps to worker i % W, and each task rates
-  /// its member with run_member() on the slot clone of that index, as the
-  /// in-process path does; only the transport
-  /// differs (an encoded RatingDelta frame instead of shared memory). A
-  /// worker death requeues the task onto a fresh fork with a bumped
-  /// process-attempt counter; after max_task_attempts the config is
-  /// treated as a deterministic crasher (see synthesize_process_failure).
+  /// proc::Supervisor. Its scheduler deals task i to worker i % W and
+  /// lets idle workers steal, so any worker may run any task; a worker
+  /// rates each with run_member() on one slot clone, as an in-process
+  /// slot thread does, and only the transport differs (an encoded
+  /// RatingDelta frame instead of shared memory). A worker death requeues
+  /// the task with a bumped process-attempt counter, for a fresh fork or
+  /// another worker; after max_task_attempts the config is treated as a
+  /// deterministic crasher (see synthesize_process_failure).
   void run_isolated(const std::vector<MemberState*>& targets) {
     const std::size_t slots = std::min<std::size_t>(
         driver_.options_.isolate_workers, targets.size());
@@ -729,9 +730,13 @@ private:
     // clones) by copy-on-write and ships the member's delta back as one
     // frame. Nothing the child mutates is visible here.
     proc::Supervisor sup(
-        [this, &targets, slots](std::size_t task, std::size_t attempt) {
+        [this, &targets, slots, clone = slots](std::size_t task,
+                                               std::size_t attempt) mutable {
+          // Each fork keeps to the first clone it touched, so a stolen
+          // task does not copy another clone's pages on write.
+          if (clone == slots) clone = task % slots;
           MemberState& m = *targets[task];
-          m.backend = slots_[task % slots].get();
+          m.backend = slots_[clone].get();
           // Lets a transient hard-crash verdict clear on the retry fork
           // (and a deterministic one keep firing until quarantine).
           m.backend->set_process_attempt(attempt);
@@ -941,10 +946,10 @@ private:
   /// delta as this method's rating wall.
   double evaluator_wall_at_start_ = obs::evaluator_wall_us();
 
-  // Per-slot backend clones; slot s rates the batch items i with
-  // i % slots == s, so the item → backend mapping is a pure function of
-  // the batch shape (and, because every rating resets its clone's
-  // measurement stream, the results do not depend on the mapping at all).
+  // Per-slot backend clones. In-process slot threads claim members in
+  // timing order, and a forked worker keeps to the clone of its first
+  // task; every rating resets its clone's measurement stream, so the
+  // results do not depend on which clone rates which member.
   std::vector<std::unique_ptr<sim::SimExecutionBackend>> slots_;
   std::unique_ptr<support::ThreadPool> pool_;
   /// Persistent rating cache; null unless configured without an injector.

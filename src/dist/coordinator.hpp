@@ -3,14 +3,17 @@
 /// \file coordinator.hpp
 /// Coordinator side of distributed tuning (`peak::dist`). The tuning
 /// driver hands it one batch round at a time (run_round); it fans the
-/// slot-tagged member tasks out over a fleet of TCP worker agents, keeps
-/// the fleet honest with Supervisor-style liveness (heartbeats, a
-/// per-dispatch watchdog), requeues tasks from dead or disconnected
-/// workers onto survivors, and returns one proc::TaskOutcome per task in
-/// canonical task order — the same contract proc::Supervisor::run()
-/// gives the isolated path, so the driver merges both transports with
-/// identical code and the TuningOutcome stays bit-identical to
-/// `--search-threads N` for any fleet size and any death schedule.
+/// member tasks out over a fleet of TCP worker agents and returns one
+/// proc::TaskOutcome per task in canonical task order — the same
+/// contract proc::Supervisor::run() gives the isolated path, so the
+/// driver merges both transports with identical code and the
+/// TuningOutcome stays bit-identical to `--search-threads N` for any
+/// fleet size and any death schedule.
+///
+/// The round's proc::TaskScheduler makes every scheduling decision; the
+/// coordinator owns the I/O: the handshake, the listener, heartbeat
+/// liveness, and dropping a worker that dies, goes quiet, stalls, or
+/// sends a frame it has no business sending (signature "protocol").
 ///
 /// Single-threaded and poll-driven: every public call runs the event
 /// loop inline on the caller's thread (the driver is blocked on the
@@ -20,14 +23,15 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/remote_eval.hpp"
 #include "proc/protocol.hpp"
-#include "proc/supervisor.hpp"
+#include "proc/task_scheduler.hpp"
+#include "support/check.hpp"
 #include "support/tcp.hpp"
 
 namespace peak::dist {
@@ -53,6 +57,13 @@ struct DistPolicy {
   /// Publish fleet rows to proc::WorkerTable::global() (the /workers
   /// endpoint and --progress); off for throwaway coordinators in tests.
   bool update_worker_table = true;
+};
+
+/// run_round() lost every worker and none can join in time: no listener
+/// and no handshake in progress, or none ready within connect_timeout.
+class FleetLost : public support::CheckError {
+public:
+  using support::CheckError::CheckError;
 };
 
 /// Mirrored into the obs registry (dist.* metrics) as events happen.
@@ -94,12 +105,11 @@ public:
   bool wait_for_fleet(std::string* error);
 
   /// Execute one batch round; returns one outcome per task, in task
-  /// order. Tasks map to the fleet with a static schedule (task i
-  /// → ready worker i mod W, in join order); idle workers then steal
-  /// requeued and queued work, so the schedule adapts to stragglers and
-  /// deaths without affecting results (members are order-independent by
-  /// construction). Throws support::CheckError when the fleet dies
-  /// entirely and no replacement joins within connect_timeout.
+  /// order. The scheduler deals task i to ready worker i mod W, in join
+  /// order, and idle workers steal, so the schedule adapts to stragglers
+  /// and deaths without affecting results (members are order-independent
+  /// by construction). Throws FleetLost when the whole fleet is gone: at
+  /// once when no worker can join, else after connect_timeout.
   std::vector<proc::TaskOutcome> run_round(
       const std::vector<core::RemoteMemberTask>& tasks);
 
@@ -120,16 +130,17 @@ private:
   /// One poll()+drain pass over listener and workers; `wait_ms` bounds
   /// the block so watchdog checks stay timely.
   void pump(int wait_ms);
+  /// Throws support::CheckError on a malformed frame.
   void handle_frame(Worker& w, const std::string& payload);
-  void dispatch_idle();
+  void dispatch_idle(const std::vector<core::RemoteMemberTask>& tasks);
   void check_deadlines();
-  /// Declare a worker dead: record a failure for its in-flight task (if
-  /// any), requeue its queued tasks, drop the connection.
-  void fail_worker(std::size_t index, proc::ExitClass cls,
+  /// Declare a worker dead: the round's scheduler fails its in-flight
+  /// task (if any); close the connection. The worker stays in workers_
+  /// until the end of the next pump() pass.
+  void fail_worker(Worker& w, proc::ExitClass cls,
                    const std::string& signature);
-  void record_task_failure(Worker& w, proc::ExitClass cls,
-                           const std::string& signature);
-  [[nodiscard]] std::vector<Worker*> ready_fleet();
+  /// Mirror a failed attempt into the stats; false when rejected.
+  bool count_charge(proc::TaskScheduler::Charge charge);
 
   core::SessionSpec spec_;
   DistPolicy policy_;
@@ -138,13 +149,8 @@ private:
   std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t next_slot_ = 0;  ///< join-order slot ids, never reused
   bool fleet_formed_ = false;  ///< flips at first wait_for_fleet success
-
-  // Round state (valid inside run_round only).
-  const std::vector<core::RemoteMemberTask>* round_tasks_ = nullptr;
-  std::vector<proc::TaskOutcome>* outcomes_ = nullptr;
-  std::vector<char> done_;
-  std::size_t undecided_ = 0;
-  std::deque<std::size_t> requeue_;
+  /// The current round's task table (engaged inside run_round only).
+  std::optional<proc::TaskScheduler> round_;
 };
 
 }  // namespace peak::dist

@@ -1,7 +1,6 @@
 #include "dist/worker_agent.hpp"
 
 #include <poll.h>
-#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -22,14 +21,6 @@
 namespace peak::dist {
 
 namespace {
-
-void ignore_sigpipe_once() {
-  static const bool done = [] {
-    ::signal(SIGPIPE, SIG_IGN);
-    return true;
-  }();
-  (void)done;
-}
 
 /// Frame writes from the agent's main loop and its heartbeat thread
 /// interleave on one socket; the mutex keeps frames atomic (the same
@@ -87,7 +78,7 @@ private:
 }  // namespace
 
 int WorkerAgent::serve(int fd) {
-  ignore_sigpipe_once();
+  proc::ignore_sigpipe_once();
   SharedWriter writer(fd);
   int status = 0;
   {
@@ -199,7 +190,7 @@ int WorkerAgent::serve(int fd) {
 }
 
 int WorkerAgent::run() {
-  ignore_sigpipe_once();
+  proc::ignore_sigpipe_once();
   if (!options_.listen) {
     std::string error;
     const int fd =

@@ -44,6 +44,14 @@ private:
   std::atomic<std::uint64_t> value_{0};
 };
 
+/// Add `n` to a component's own stats field and to the registry counter
+/// that mirrors it.
+inline void tally(std::uint64_t& stat, Counter& counter,
+                  std::uint64_t n = 1) {
+  stat += n;
+  counter.inc(n);
+}
+
 /// Double-valued gauge with set and accumulate semantics (simulated
 /// cycles per phase, last regression residual…).
 class Gauge {

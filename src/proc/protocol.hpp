@@ -38,6 +38,12 @@ constexpr std::size_t kFramePrefixLen = 8;
 /// the peer is gone (EPIPE / any write error).
 bool write_frame(int fd, std::string_view payload);
 
+/// A dead peer must surface as EPIPE from write_frame, not as a
+/// process-fatal SIGPIPE. Installed once, never restored: SIG_IGN for
+/// SIGPIPE is safe for every writer in this process (they all check
+/// write() results). Forked workers reset it to the default.
+void ignore_sigpipe_once();
+
 /// Incremental frame decoder over an arbitrary byte stream.
 class FrameReader {
 public:

@@ -7,8 +7,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <csignal>
-#include <mutex>
 
 #include "core/jsonl.hpp"
 #include "obs/metrics.hpp"
@@ -22,11 +20,6 @@ namespace peak::proc {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double wall_us_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
-}
 
 struct ProcMetrics {
   obs::Counter& spawned = obs::counter("proc.workers.spawned");
@@ -48,53 +41,17 @@ ProcMetrics& proc_metrics() {
   return *metrics;
 }
 
-/// A dead worker must surface as EPIPE on the next command write, not as
-/// a process-fatal SIGPIPE. Installed once, never restored: SIG_IGN for
-/// SIGPIPE is safe for every writer in this process (they all check
-/// write() results).
-void ignore_sigpipe_once() {
-  static std::once_flag once;
-  std::call_once(once, [] { std::signal(SIGPIPE, SIG_IGN); });
-}
-
 }  // namespace
 
-const char* to_string(ExitClass cls) {
-  switch (cls) {
-    case ExitClass::kClean: return "clean";
-    case ExitClass::kSignal: return "signal";
-    case ExitClass::kTimeout: return "timeout";
-    case ExitClass::kOom: return "oom";
-    case ExitClass::kNonzero: return "nonzero";
-  }
-  return "unknown";
-}
-
-bool TaskOutcome::failures_identical() const {
-  if (failures.empty()) return false;
-  for (const WorkerFailure& f : failures)
-    if (f.signature != failures.front().signature) return false;
-  return true;
-}
-
+/// A worker slot: the process and its watchdog; tasks live in the scheduler.
 struct Supervisor::Slot {
   std::size_t index = 0;
   std::unique_ptr<WorkerProcess> worker;
   FrameReader reader;
-
-  std::vector<std::size_t> tasks;  ///< this slot's task ids, in order
-  std::size_t next_task = 0;       ///< position in `tasks`
-
-  enum class Phase { kIdle, kRunning, kExiting, kFinished };
-  Phase phase = Phase::kIdle;
-  std::size_t current_task = 0;
-  std::size_t current_attempt = 0;
-  Clock::time_point dispatched_at;
   Clock::time_point last_frame_at;
-  bool term_sent = false;
+  bool term_sent = false;  ///< the watchdog found the held task stalled
   bool kill_sent = false;
   Clock::time_point term_at;
-  bool killed_for_stall = false;
   bool gap_counted = false;
   std::uint64_t tasks_done = 0;
 };
@@ -102,9 +59,7 @@ struct Supervisor::Slot {
 Supervisor::Supervisor(TaskFn fn, SupervisorPolicy policy)
     : fn_(std::move(fn)), policy_(policy) {
   PEAK_CHECK(policy_.workers >= 1, "supervisor needs at least one worker");
-  PEAK_CHECK(policy_.max_task_attempts >= 1,
-             "a task needs at least one attempt");
-  ignore_sigpipe_once();
+  ignore_sigpipe_once();  // a dead worker is EPIPE on the command write
   proc_metrics();  // registered before any fork (see docs/INTERNALS §12)
 }
 
@@ -138,57 +93,44 @@ void Supervisor::spawn_slot(Slot& slot, bool respawn) {
   slot.worker = WorkerProcess::spawn(fn_, options, close_in_child);
   PEAK_CHECK(slot.worker != nullptr, "fork() failed spawning a worker");
   slot.reader = FrameReader{};
-  slot.phase = Slot::Phase::kIdle;
-  slot.term_sent = false;
-  slot.kill_sent = false;
-  slot.killed_for_stall = false;
   slot.gap_counted = false;
   slot.last_frame_at = Clock::now();
 
-  ++stats_.spawned;
-  proc_metrics().spawned.inc();
-  if (respawn) {
-    ++stats_.respawned;
-    proc_metrics().respawned.inc();
-  }
+  obs::tally(stats_.spawned, proc_metrics().spawned);
+  if (respawn) obs::tally(stats_.respawned, proc_metrics().respawned);
   if (policy_.update_worker_table)
     WorkerTable::global().spawned(slot.index, slot.worker->pid(), respawn);
 }
 
-void Supervisor::dispatch(Slot& slot) {
-  if (slot.next_task >= slot.tasks.size()) {
-    // Queue drained: ask for a clean exit and wait for the EOF.
-    slot.phase = Slot::Phase::kExiting;
+void Supervisor::dispatch(Slot& slot, TaskScheduler& sched) {
+  const std::optional<TaskScheduler::Dispatch> next =
+      sched.dispatch(slot.index, Clock::now());
+  slot.term_sent = false;  // a fresh deadline, or none
+  slot.kill_sent = false;
+  if (!next) {
+    // No undispatched work anywhere: ask for a clean exit and wait for
+    // the EOF.
     slot.worker->send_exit();
     return;
   }
-  slot.current_task = slot.tasks[slot.next_task];
-  slot.phase = Slot::Phase::kRunning;
-  slot.dispatched_at = Clock::now();
-  slot.term_sent = false;
-  slot.kill_sent = false;
-  slot.killed_for_stall = false;
   if (policy_.update_worker_table)
-    WorkerTable::global().running(slot.index, slot.current_task);
-  if (!slot.worker->send_run(slot.current_task, slot.current_attempt)) {
-    // Worker already gone; the event loop will see the EOF and requeue.
-  }
+    WorkerTable::global().running(slot.index, next->task);
+  // A worker already gone shows up as EOF in the event loop.
+  slot.worker->send_run(next->task, next->attempt);
 }
 
-void Supervisor::reap(Slot& slot, std::vector<TaskOutcome>& outcomes) {
+void Supervisor::reap(Slot& slot, TaskScheduler& sched) {
   const pid_t pid = slot.worker->pid();
   int status = 0;
   while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
   }
   slot.worker.reset();
 
-  const bool expected_exit = slot.phase == Slot::Phase::kExiting &&
-                             WIFEXITED(status) &&
+  // A live slot holds a task until it is told to exit.
+  const bool expected_exit = !sched.held(slot.index) && WIFEXITED(status) &&
                              WEXITSTATUS(status) == 0;
   if (expected_exit) {
-    ++stats_.exits_clean;
-    proc_metrics().exits_clean.inc();
-    slot.phase = Slot::Phase::kFinished;
+    obs::tally(stats_.exits_clean, proc_metrics().exits_clean);
     if (policy_.update_worker_table)
       WorkerTable::global().finished(slot.index, slot.tasks_done);
     return;
@@ -197,24 +139,21 @@ void Supervisor::reap(Slot& slot, std::vector<TaskOutcome>& outcomes) {
   // Unexpected death. Classify it.
   WorkerFailure failure;
   failure.slot = slot.index;
-  if (slot.killed_for_stall) {
+  if (slot.term_sent) {
     failure.cls = ExitClass::kTimeout;
     failure.detail = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
     failure.signature = "timeout";
-    ++stats_.exits_timeout;
-    proc_metrics().exits_timeout.inc();
+    obs::tally(stats_.exits_timeout, proc_metrics().exits_timeout);
   } else if (WIFSIGNALED(status)) {
     const int sig = WTERMSIG(status);
     if (sig == SIGXCPU) {
       failure.cls = ExitClass::kTimeout;
       failure.signature = "cpu-limit";
-      ++stats_.exits_timeout;
-      proc_metrics().exits_timeout.inc();
+      obs::tally(stats_.exits_timeout, proc_metrics().exits_timeout);
     } else {
       failure.cls = ExitClass::kSignal;
       failure.signature = "signal:" + std::to_string(sig);
-      ++stats_.exits_signal;
-      proc_metrics().exits_signal.inc();
+      obs::tally(stats_.exits_signal, proc_metrics().exits_signal);
     }
     failure.detail = sig;
   } else {
@@ -223,84 +162,47 @@ void Supervisor::reap(Slot& slot, std::vector<TaskOutcome>& outcomes) {
     if (code == kExitOom) {
       failure.cls = ExitClass::kOom;
       failure.signature = "oom";
-      ++stats_.exits_oom;
-      proc_metrics().exits_oom.inc();
+      obs::tally(stats_.exits_oom, proc_metrics().exits_oom);
     } else if (code == 0) {
       // Exited "cleanly" without being told to — still a lost worker.
       failure.cls = ExitClass::kClean;
       failure.signature = "exit:0";
-      ++stats_.exits_clean;
-      proc_metrics().exits_clean.inc();
+      obs::tally(stats_.exits_clean, proc_metrics().exits_clean);
     } else {
       failure.cls = ExitClass::kNonzero;
       failure.signature = "exit:" + std::to_string(code);
-      ++stats_.exits_nonzero;
-      proc_metrics().exits_nonzero.inc();
+      obs::tally(stats_.exits_nonzero, proc_metrics().exits_nonzero);
     }
   }
 
   if (policy_.update_worker_table)
     WorkerTable::global().died(slot.index, failure.signature);
 
-  if (slot.phase != Slot::Phase::kRunning) {
-    // Died between tasks (or while exiting): nothing to requeue; if the
-    // queue still has work, a respawn picks it up.
-    if (slot.next_task >= slot.tasks.size()) {
-      slot.phase = Slot::Phase::kFinished;
-      return;
-    }
-    spawn_slot(slot, /*respawn=*/true);
-    slot.current_attempt = 0;
-    dispatch(slot);
-    return;
+  // Charge the task the worker held, if any. Refill the slot only while
+  // work waits: a worker that died after its last result costs nothing.
+  if (const std::optional<std::size_t> held = sched.held(slot.index)) {
+    if (sched.fail(slot.index, *held, std::move(failure), Clock::now()) ==
+        TaskScheduler::Charge::kRetried)
+      obs::tally(stats_.tasks_retried, proc_metrics().tasks_retried);
+    else
+      obs::tally(stats_.tasks_failed, proc_metrics().tasks_failed);
   }
-
-  // Died holding a task: charge the burned attempt to that task.
-  failure.task = slot.current_task;
-  failure.attempt = slot.current_attempt;
-  failure.burned_wall_us = wall_us_since(slot.dispatched_at);
-  stats_.burned_wall_us += failure.burned_wall_us;
-  TaskOutcome& outcome = outcomes[slot.current_task];
-  ++outcome.attempts;
-  outcome.failures.push_back(failure);
-
-  const bool give_up = outcome.attempts >= policy_.max_task_attempts;
-  if (give_up) {
-    ++stats_.tasks_failed;
-    proc_metrics().tasks_failed.inc();
-    ++slot.next_task;  // skip the poisoned task
-    slot.current_attempt = 0;
-  } else {
-    ++stats_.tasks_retried;
-    proc_metrics().tasks_retried.inc();
-    ++slot.current_attempt;  // requeue: same task, next process attempt
-  }
-
-  if (slot.next_task >= slot.tasks.size() && give_up) {
-    slot.phase = Slot::Phase::kFinished;
-    return;
-  }
+  if (!sched.undispatched()) return;
   spawn_slot(slot, /*respawn=*/true);
-  dispatch(slot);
+  dispatch(slot, sched);
 }
 
 std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
-  std::vector<TaskOutcome> outcomes(num_tasks);
-  if (num_tasks == 0) return outcomes;
+  if (num_tasks == 0) return {};
 
   const std::size_t workers = std::min(policy_.workers, num_tasks);
+  TaskScheduler sched(num_tasks, workers, policy_.max_task_attempts);
   slots_.clear();
   slots_.resize(workers);
   if (policy_.update_worker_table) WorkerTable::global().clear();
-  for (std::size_t s = 0; s < workers; ++s) {
-    Slot& slot = slots_[s];
-    slot.index = s;
-    for (std::size_t i = s; i < num_tasks; i += workers)
-      slot.tasks.push_back(i);  // deterministic mapping: task i → i % W
-    slot.current_attempt = 0;
-  }
+  for (std::size_t s = 0; s < workers; ++s) slots_[s].index = s;
   for (Slot& slot : slots_) spawn_slot(slot, /*respawn=*/false);
-  for (Slot& slot : slots_) dispatch(slot);
+  for (Slot& slot : slots_) dispatch(slot, sched);
 
   char buf[4096];
   for (;;) {
@@ -309,16 +211,15 @@ std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
       support::check_shutdown();  // throws ShutdownRequested
     }
 
-    bool all_finished = true;
+    // No worker left means no task left: reap() refills while work waits.
     std::vector<pollfd> fds;
     std::vector<Slot*> fd_slots;
     for (Slot& slot : slots_) {
-      if (slot.phase != Slot::Phase::kFinished) all_finished = false;
       if (!slot.worker) continue;
       fds.push_back({slot.worker->read_fd(), POLLIN, 0});
       fd_slots.push_back(&slot);
     }
-    if (all_finished) break;
+    if (fds.empty()) break;
 
     const int ready =
         poll(fds.data(), static_cast<nfds_t>(fds.size()), /*timeout=*/10);
@@ -344,18 +245,12 @@ std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
               const core::jsonl::JsonValue frame = parser.parse();
               const std::string& op = frame.at("op").as_string();
               if (op == "result" &&
-                  slot.phase == Slot::Phase::kRunning &&
-                  frame.at("task").as_u64() == slot.current_task) {
-                TaskOutcome& outcome = outcomes[slot.current_task];
-                outcome.ok = true;
-                outcome.payload = frame.at("payload").as_string();
-                ++outcome.attempts;
+                  sched.complete(slot.index, frame.at("task").as_u64(),
+                                 frame.at("payload").as_string())) {
                 ++slot.tasks_done;
-                ++slot.next_task;
-                slot.current_attempt = 0;
                 if (policy_.update_worker_table)
                   WorkerTable::global().idle(slot.index);
-                dispatch(slot);
+                dispatch(slot, sched);
               }
               // hello / hb frames only refresh last_frame_at above.
             } catch (const support::CheckError&) {
@@ -370,11 +265,11 @@ std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
           continue;
         }
         if (n < 0 && errno == EINTR) continue;
-        reap(slot, outcomes);  // n == 0 (EOF) or hard read error
+        reap(slot, sched);  // n == 0 (EOF) or hard read error
         continue;
       }
       if (revents & (POLLHUP | POLLERR | POLLNVAL)) {
-        reap(slot, outcomes);
+        reap(slot, sched);
         continue;
       }
     }
@@ -386,32 +281,29 @@ std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
     // last frame.
     for (Slot& slot : slots_) {
       if (!slot.worker) continue;
-      if (slot.phase == Slot::Phase::kRunning) {
-        const auto held = now - slot.dispatched_at;
-        if (!slot.term_sent && held > policy_.stall_timeout) {
+      if (sched.held(slot.index)) {
+        if (!slot.term_sent &&
+            sched.stalled(slot.index, now, policy_.stall_timeout)) {
           slot.term_sent = true;
-          slot.killed_for_stall = true;
           slot.term_at = now;
           kill(slot.worker->pid(), SIGTERM);
-          ++stats_.term_kills;
-          proc_metrics().term_kills.inc();
+          obs::tally(stats_.term_kills, proc_metrics().term_kills);
         } else if (slot.term_sent && !slot.kill_sent &&
                    now - slot.term_at > policy_.term_grace) {
           slot.kill_sent = true;
           kill(slot.worker->pid(), SIGKILL);
-          ++stats_.kill_kills;
-          proc_metrics().kill_kills.inc();
+          obs::tally(stats_.kill_kills, proc_metrics().kill_kills);
         }
       }
       if (!slot.gap_counted &&
           now - slot.last_frame_at > 4 * policy_.heartbeat_interval) {
         slot.gap_counted = true;
-        ++stats_.heartbeat_gaps;
-        proc_metrics().heartbeat_gaps.inc();
+        obs::tally(stats_.heartbeat_gaps, proc_metrics().heartbeat_gaps);
       }
     }
   }
-  return outcomes;
+  PEAK_CHECK(sched.undecided() == 0, "supervisor round ended undecided");
+  return sched.take_outcomes();
 }
 
 }  // namespace peak::proc

@@ -2,14 +2,16 @@
 
 /// \file supervisor.hpp
 /// Supervised execution of a batch of tasks across forked worker
-/// subprocesses (`peak::proc`). run(n) executes tasks 0..n-1 with a
-/// deterministic slot mapping — task i belongs to slot i % workers, each
-/// slot processes its items in increasing order — so a caller that
-/// merges results in canonical task order gets output independent of
-/// worker timing *and* of how many times a worker died along the way.
+/// subprocesses (`peak::proc`). run(n) executes tasks 0..n-1 under a
+/// TaskScheduler (task_scheduler.hpp), which makes every scheduling
+/// decision; a caller that merges results in canonical task order gets
+/// output independent of worker timing *and* of how many times a worker
+/// died along the way.
 ///
-/// The supervisor's event loop polls every worker pipe, feeds a
-/// watchdog, and turns each worker death into a typed WorkerFailure:
+/// The supervisor owns the I/O: pipes, fork, rlimits, the event loop
+/// that polls every worker pipe, SIGTERM → SIGKILL escalation of a
+/// stalled worker, and turning each worker death into a typed
+/// WorkerFailure:
 ///   clean    normal exit after being told to (never a failure)
 ///   signal   killed by an uncaught signal (SIGSEGV, SIGABRT, ...)
 ///   timeout  killed by the watchdog (stalled past the per-task
@@ -17,49 +19,17 @@
 ///   oom      exited with kExitOom after RLIMIT_AS made an allocation
 ///            throw std::bad_alloc
 ///   nonzero  any other exit status (task exception, protocol error)
-/// A failed attempt is requeued onto a freshly forked worker with an
-/// incremented process-attempt counter; after max_task_attempts failures
-/// the task is marked permanently failed and reported with its failure
-/// history, so the caller can decide whether the failures were identical
-/// (deterministic — quarantine the config) or mixed/transient.
+/// A slot whose worker died is refilled with a fresh fork while the
+/// scheduler still has undispatched work.
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <vector>
 
+#include "proc/task_scheduler.hpp"
 #include "proc/worker.hpp"
 
 namespace peak::proc {
-
-enum class ExitClass { kClean, kSignal, kTimeout, kOom, kNonzero };
-
-[[nodiscard]] const char* to_string(ExitClass cls);
-
-/// One failed worker attempt, classified.
-struct WorkerFailure {
-  ExitClass cls = ExitClass::kClean;
-  int detail = 0;  ///< signal number (kSignal/kTimeout) or exit status
-  std::size_t slot = 0;
-  std::size_t task = 0;
-  std::size_t attempt = 0;
-  double burned_wall_us = 0.0;  ///< wall from dispatch to reap
-  /// Stable identity of the failure mode ("signal:11", "timeout",
-  /// "oom", "exit:87"); K identical signatures on one task mean the
-  /// failure is deterministic.
-  std::string signature;
-};
-
-struct TaskOutcome {
-  bool ok = false;
-  std::string payload;  ///< the TaskFn's return value when ok
-  std::size_t attempts = 0;
-  std::vector<WorkerFailure> failures;
-
-  /// True when every failed attempt shares one signature (and there was
-  /// at least one failure) — the caller's deterministic-crash test.
-  [[nodiscard]] bool failures_identical() const;
-};
 
 struct SupervisorPolicy {
   std::size_t workers = 1;
@@ -92,7 +62,6 @@ struct SupervisorStats {
   std::uint64_t exits_timeout = 0;
   std::uint64_t exits_oom = 0;
   std::uint64_t exits_nonzero = 0;
-  double burned_wall_us = 0.0;  ///< total wall on failed attempts
 };
 
 class Supervisor {
@@ -114,8 +83,8 @@ private:
   struct Slot;
 
   void spawn_slot(Slot& slot, bool respawn);
-  void dispatch(Slot& slot);
-  void reap(Slot& slot, std::vector<TaskOutcome>& outcomes);
+  void dispatch(Slot& slot, TaskScheduler& sched);
+  void reap(Slot& slot, TaskScheduler& sched);
   void kill_all();
 
   TaskFn fn_;

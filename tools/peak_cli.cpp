@@ -495,6 +495,11 @@ int cmd_tune_driver(const Args& args,
   } catch (const core::JournalError& e) {
     std::fprintf(stderr, "refusing to resume: %s\n", e.what());
     return 1;
+  } catch (const dist::FleetLost& e) {
+    // Every record up to the failed round is durable, as after a signal.
+    std::fprintf(stderr, "%s; %s\n", e.what(),
+                 args.resume_hint().c_str());
+    return 1;
   }
   telemetry.phase("reporting");
 
