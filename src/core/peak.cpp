@@ -30,14 +30,16 @@ MethodRun Peak::run_one(const workloads::Workload& workload,
                         const ProfileData& profile,
                         const workloads::Trace& tune_trace,
                         const workloads::Trace& ref_trace,
-                        workloads::DataSet tuned_on, rating::Method method,
+                        workloads::DataSet tuned_on,
+                        std::optional<rating::Method> method,
                         double ref_o3_time) {
   TuningDriver driver(workload, profile, tune_trace, machine_, effects_,
                       options_.driver);
-  const TuningOutcome outcome = driver.tune(method);
+  const TuningOutcome outcome =
+      method ? driver.tune(*method) : driver.tune_auto();
 
   MethodRun run;
-  run.method = method;
+  run.method = outcome.method;
   run.tuned_on = tuned_on;
   run.best_config = outcome.best_config;
   run.cost = outcome.cost;
@@ -103,7 +105,8 @@ BenchmarkResult Peak::run_benchmark(const workloads::Workload& workload,
   return result;
 }
 
-MethodRun Peak::tune_with_consultant(const workloads::Workload& workload) {
+MethodRun Peak::tune(const workloads::Workload& workload,
+                     std::optional<rating::Method> method) {
   const std::uint64_t trace_seed =
       support::hash_combine(options_.seed,
                             support::stable_hash(workload.benchmark()));
@@ -113,25 +116,10 @@ MethodRun Peak::tune_with_consultant(const workloads::Workload& workload) {
       workload.trace(workloads::DataSet::kRef, trace_seed);
   const ProfileData profile =
       profile_workload(workload, train, machine_, options_.profile);
-
-  TuningDriver driver(workload, profile, train, machine_, effects_,
-                      options_.driver);
-  const TuningOutcome outcome = driver.tune_auto();
-
-  MethodRun run;
-  run.method = outcome.method;
-  run.tuned_on = workloads::DataSet::kTrain;
-  run.best_config = outcome.best_config;
-  run.cost = outcome.cost;
-  run.exhausted_fraction = outcome.exhausted_fraction;
-
-  const search::FlagConfig o3 = search::o3_config(effects_.space());
-  const double ref_o3 =
-      expected_trace_time(workload, ref, machine_, effects_, o3);
-  const double tuned = expected_trace_time(workload, ref, machine_,
-                                           effects_, outcome.best_config);
-  run.ref_improvement_pct = (ref_o3 / tuned - 1.0) * 100.0;
-  return run;
+  const double ref_o3 = expected_trace_time(
+      workload, ref, machine_, effects_, search::o3_config(effects_.space()));
+  return run_one(workload, profile, train, ref, workloads::DataSet::kTrain,
+                 method, ref_o3);
 }
 
 }  // namespace peak::core

@@ -69,8 +69,16 @@ public:
       const workloads::Workload& workload, bool all_methods = true,
       std::vector<rating::Method> extra_methods = {});
 
+  /// PEAK's production mode on the train dataset: profile, tune with
+  /// `method` (none: the consultant's chain, switching methods when
+  /// ratings do not converge), and measure the winner on ref.
+  MethodRun tune(const workloads::Workload& workload,
+                 std::optional<rating::Method> method);
+
   /// PEAK's production mode: consultant-chosen method, train dataset.
-  MethodRun tune_with_consultant(const workloads::Workload& workload);
+  MethodRun tune_with_consultant(const workloads::Workload& workload) {
+    return tune(workload, std::nullopt);
+  }
 
   [[nodiscard]] const sim::MachineModel& machine() const {
     return machine_;
@@ -80,11 +88,13 @@ public:
   }
 
 private:
+  /// One tuning session: `method` fixed, or none for tune_auto().
   MethodRun run_one(const workloads::Workload& workload,
                     const ProfileData& profile,
                     const workloads::Trace& tune_trace,
                     const workloads::Trace& ref_trace,
-                    workloads::DataSet tuned_on, rating::Method method,
+                    workloads::DataSet tuned_on,
+                    std::optional<rating::Method> method,
                     double ref_o3_time);
 
   /// Stored by value: callers routinely pass temporaries

@@ -4,12 +4,17 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "core/jsonl.hpp"
 #include "obs/metrics.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace peak::core {
 
@@ -47,6 +52,51 @@ bool full_write(int fd, const std::string& data) {
 }
 
 }  // namespace
+
+// v2: keys digest the whole MemberTask, memo EVALs included; v1 keys
+// (config bits only) never match one.
+RatingCache::Fingerprint::Fingerprint()
+    : h1_(support::stable_hash("peak.rating_cache.v2")),
+      h2_(support::stable_hash("peak.rating_cache.v2.alt")) {}
+
+void RatingCache::Fingerprint::mix(std::uint64_t v) {
+  h1_ = support::hash_combine(h1_, v);
+  h2_ = support::hash_combine(h2_, v ^ 0x636f6e74656e7431ULL);
+}
+
+void RatingCache::Fingerprint::mix_double(double d) {
+  mix(std::bit_cast<std::uint64_t>(d));
+}
+
+void RatingCache::Fingerprint::mix_string(std::string_view s) {
+  // Length-prefixed, eight bytes at a time: two different strings (config
+  // keys above all) never feed the chains the same words.
+  mix(s.size());
+  for (std::size_t i = 0; i < s.size(); i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, s.data() + i, std::min<std::size_t>(8, s.size() - i));
+    mix(word);
+  }
+}
+
+std::string RatingCache::Fingerprint::key(const MemberTask& task) const {
+  Fingerprint k = *this;
+  k.mix_string(rating::to_string(task.method));
+  k.mix_string(task.base_key);
+  k.mix_string(task.cfg_key);
+  k.mix(task.prologue ? 1 : 0);
+  k.mix(task.seed);
+  k.mix(task.memo.size());
+  for (const auto& [key, eval] : task.memo) {
+    k.mix_string(key);
+    k.mix_double(eval);
+  }
+  char buf[33];
+  std::snprintf(buf, sizeof buf, "%016llx%016llx",
+                static_cast<unsigned long long>(k.h1_),
+                static_cast<unsigned long long>(k.h2_));
+  return std::string(buf);
+}
 
 RatingCache::RatingCache(std::string path) : path_(std::move(path)) {
   // Load whatever a previous run left behind; a missing file just means

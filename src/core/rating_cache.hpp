@@ -2,28 +2,30 @@
 
 /// \file rating_cache.hpp
 /// Persistent content-addressed rating cache. Batched evaluation makes
-/// every candidate rating a pure function of
-/// (machine, section, trace, seed, rating method + params, base bits,
-/// candidate bits) — the measurement stream is reseeded per rating from
-/// exactly those inputs — so the complete outcome of a rating (the R
-/// value plus every state delta it caused: memo entries, rating
-/// observations, counter advances, simulated-cycle costs) can be keyed by
-/// a digest of them and replayed from disk on any later run that asks the
-/// same question. The file is append-only JSONL — one RatingDelta per
-/// line, in the encoding the journal and the worker transports share
-/// (core/rating_delta.hpp) — shared across rounds, sections,
-/// and repeated runs; a warm rerun applies cached deltas instead of
-/// simulating, which makes it near-instant while still producing a
-/// bit-identical TuningOutcome (costs included — tuning cost is part of
-/// the cached deltas, not of the wall clock).
+/// every member rating a pure function of the run (machine, section,
+/// trace, seed, rating method + params) and the member's MemberTask (base
+/// and candidate bits, stream seed, the memo EVALs it reads) — so the
+/// complete outcome of a rating (the R value plus every state delta it
+/// caused: memo entries, rating observations, counter advances,
+/// simulated-cycle costs) can be keyed by a digest of them and replayed
+/// from disk on any later run that asks the same question. The file is
+/// append-only JSONL — one RatingDelta per line, in the encoding the
+/// journal and the worker transports share (core/rating_delta.hpp) —
+/// shared across rounds, sections, and repeated runs; a warm rerun
+/// applies cached deltas instead of simulating, which makes it
+/// near-instant while still producing a bit-identical TuningOutcome
+/// (costs included — tuning cost is part of the cached deltas, not of
+/// the wall clock).
 ///
 /// The cache is disabled whenever a fault injector is installed: injector
 /// verdicts depend on state that is not part of the key (attempt numbers,
 /// quarantine history), so cached ratings would be unsound there.
 
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/rating_delta.hpp"
@@ -41,6 +43,26 @@ namespace peak::core {
 /// on the batch-merge (primary) thread anyway.
 class RatingCache {
 public:
+  /// What every key of one run starts from: the fields the run's ratings
+  /// depend on, mixed into two independent 64-bit chains salted with the
+  /// key format version. key() extends a copy by one member's
+  /// MemberTask, so a key is the run plus exactly what the member reads
+  /// (128-bit keys make accidental collisions implausible at any
+  /// realistic cache size).
+  class Fingerprint {
+  public:
+    Fingerprint();
+    void mix(std::uint64_t v);
+    void mix_double(double d);
+    void mix_string(std::string_view s);
+    /// Key of one member's rating, as 32 hex digits.
+    [[nodiscard]] std::string key(const MemberTask& task) const;
+
+  private:
+    std::uint64_t h1_;
+    std::uint64_t h2_;
+  };
+
   /// Opens `path` for appending, creating it if absent, and loads any
   /// existing entries.
   explicit RatingCache(std::string path);

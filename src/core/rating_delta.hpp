@@ -1,19 +1,20 @@
 #pragma once
 
 /// \file rating_delta.hpp
-/// What one rating did to the tuning driver, and its one encoding.
+/// What one rating reads (MemberTask) and what it did to the tuning
+/// driver (RatingDelta, with its one encoding).
 ///
-/// A batched rating is a pure function of (scenario, seed, base bits,
-/// candidate bits): it runs on a freshly reset backend clone with a
-/// content-seeded measurement stream, reads only frozen shared state, and
-/// buffers every effect it has — its R value, memo entries, validations,
-/// quarantine counts, fault events, counter advances and simulated-cycle
-/// costs — in a RatingDelta. The driver folds deltas into its state in
-/// canonical candidate order, whether the delta was computed on a pool
-/// thread, shipped back from a forked worker or a TCP worker, loaded from
-/// the rating cache, or read back from the journal on resume. All four
-/// carry the same single-line JSON object (core/jsonl dialect: doubles as
-/// IEEE-754 bit patterns, so a round trip is exact).
+/// A batched rating runs on a freshly reset backend clone with its task's
+/// content-seeded measurement stream, reads no memo EVAL but the task's
+/// (and, under a fault injector, copies of the quarantine and validated
+/// set), and buffers every effect it has — its R value, memo entries,
+/// validations, quarantine counts, fault events, counter advances and
+/// simulated-cycle costs — in a RatingDelta. The driver folds deltas
+/// into its state in canonical candidate order, whether the delta was
+/// computed on a pool thread, shipped back from a forked worker or a TCP
+/// worker, loaded from the rating cache, or read back from the journal on
+/// resume. All four carry the same single-line JSON object (core/jsonl
+/// dialect: doubles as IEEE-754 bit patterns, so a round trip is exact).
 
 #include <cstdint>
 #include <exception>
@@ -26,6 +27,7 @@
 #include "core/jsonl.hpp"
 #include "fault/fault.hpp"
 #include "fault/guarded_executor.hpp"
+#include "rating/rating.hpp"
 #include "sim/exec_backend.hpp"
 
 namespace peak::core {
@@ -35,6 +37,25 @@ namespace peak::core {
 /// (paper Section 3).
 struct RatingNotConverging : std::runtime_error {
   using std::runtime_error::runtime_error;
+};
+
+/// One batch member: rate `cfg_key` against `base_key` with `method`.
+/// Built once per member, after the batch's prologue has merged, it is
+/// all a rating reads besides the scenario: the stream seed, and the
+/// merged memo EVALs of the base and the candidate (all a rating ever
+/// looks up). Slot threads and forked workers rate from it, the TCP
+/// fleet ships it as the task frame, and the rating cache keys on its
+/// digest, so the three cannot disagree on what a rating depends on.
+struct MemberTask {
+  rating::Method method = rating::Method::kWHL;
+  std::string base_key;  ///< FlagConfig::key() ("0"/"1" per flag)
+  std::string cfg_key;
+  bool prologue = false;  ///< rates the base EVAL only
+  std::uint64_t seed = 0; ///< content-derived member stream seed
+  /// Memo EVALs the member may read (config key → EVAL), base first.
+  std::vector<std::pair<std::string, double>> memo;
+
+  friend bool operator==(const MemberTask&, const MemberTask&) = default;
 };
 
 struct RatingDelta {
@@ -69,7 +90,7 @@ struct RatingDelta {
   /// Last MBR regression residual the rating reported (MBR only).
   std::optional<double> mbr_residual;
   /// Simulated-cycle cost of the rating, per phase.
-  sim::SimExecutionBackend::CostDeltas cost;
+  sim::Costs cost;
   /// Set when the rating was abandoned; the merge rethrows it after
   /// applying the rest of the delta. Encoded as a (tag, what) pair and
   /// decoded to RatingNotConverging ("rnc"), support::CheckError

@@ -69,7 +69,7 @@ RemoteRatingHost::RemoteRatingHost(const SessionSpec& spec)
 
 RemoteRatingHost::~RemoteRatingHost() = default;
 
-std::string RemoteRatingHost::rate(const RemoteMemberTask& task) {
+std::string RemoteRatingHost::rate(const MemberTask& task) {
   return state_->driver->rate_remote_member(task);
 }
 

@@ -11,10 +11,10 @@
 /// order. That purity is what makes remote execution sound — a worker on
 /// another machine only needs (a) the same deterministic scenario
 /// (benchmark, machine model, trace recipe, rating policies) and (b) the
-/// task's content (method, config bits, stream seed, the frozen memo
-/// entries the member may read) to reproduce the member's delta
-/// bit-exactly. SessionSpec carries (a) once per connection;
-/// RemoteMemberTask carries (b) once per rating.
+/// member's descriptor (core::MemberTask: method, config bits, stream
+/// seed, the memo EVALs the member may read) to reproduce the member's
+/// delta bit-exactly. SessionSpec carries (a) once per connection; the
+/// MemberTask every transport rates from carries (b) once per rating.
 ///
 /// Fault injection is coordinator-side state (retry and quarantine
 /// verdicts depend on attempt history), so distributed mode refuses to
@@ -24,9 +24,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
+#include "core/rating_delta.hpp"
 #include "core/tuning_driver.hpp"
 #include "rating/rating.hpp"
 
@@ -57,22 +56,6 @@ struct SessionSpec {
                                             const std::string& machine,
                                             const DriverOptions& options);
 
-/// One slot-tagged rating task: rate `cfg` against `base` with `method`.
-/// `memo` carries the frozen memo entries this member is allowed to read
-/// (at most the base's and candidate's — all a batched rating ever looks
-/// up), so the worker-side rating is a pure function of this struct.
-struct RemoteMemberTask {
-  rating::Method method = rating::Method::kWHL;
-  std::string base_key;  ///< FlagConfig::key() ("0"/"1" per flag)
-  std::string cfg_key;
-  bool prologue = false;  ///< rates the base EVAL only
-  std::uint64_t seed = 0; ///< content-derived member stream seed
-  std::vector<std::pair<std::string, double>> memo;
-
-  friend bool operator==(const RemoteMemberTask&,
-                         const RemoteMemberTask&) = default;
-};
-
 /// Worker-side rating host: owns one reconstructed scenario (workload,
 /// trace, profile, machine, effect model, driver) and rates member tasks
 /// through the exact batch-member code path the in-process driver uses,
@@ -90,7 +73,7 @@ public:
 
   /// Encoded RatingDelta for one task (see
   /// TuningDriver::rate_remote_member).
-  [[nodiscard]] std::string rate(const RemoteMemberTask& task);
+  [[nodiscard]] std::string rate(const MemberTask& task);
 
   [[nodiscard]] const SessionSpec& spec() const { return spec_; }
 

@@ -4,10 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <future>
 #include <optional>
 #include <set>
@@ -57,15 +55,30 @@ struct DriverMetrics {
   }
 };
 
+/// Exhaustion fraction beyond which tune_auto() falls back to the next
+/// applicable rating method (paper Section 3, method switching).
+constexpr double kMaxExhaustedFraction = 0.3;
+
+/// Validate the output digest of any config that rates as an
+/// improvement before the search may adopt it (one extra invocation
+/// per distinct improving config; miscompiles are quarantined).
+constexpr bool kValidateImprovements = true;
+
+double us_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
-/// Rates configurations with one method. Every rating is a batch member:
-/// its measurement stream is reseeded from (seed, base, candidate), it
-/// runs on a per-slot backend clone against frozen shared state, and all
-/// it changes comes back as a RatingDelta that is merged in canonical
-/// candidate order. The outcome therefore does not depend on the slot
-/// count, the transport (threads, forked workers, TCP fleet), cache hits
-/// or a resume.
+/// Rates configurations with one method. Every rating is a batch member
+/// described by one MemberTask: its measurement stream is reseeded from
+/// (seed, base, candidate), it runs on a per-slot backend clone reading
+/// no EVAL but its task's, and all it changes comes back as a
+/// RatingDelta that is merged in canonical candidate order. The outcome
+/// therefore does not depend on the slot count, the transport (threads,
+/// forked workers, TCP fleet), cache hits or a resume.
 class TuningDriver::Evaluator final : public search::ConfigEvaluator {
 public:
   Evaluator(const TuningDriver& driver, rating::Method method,
@@ -76,11 +89,11 @@ public:
         fn_(fn),
         backend_seed_(support::hash_combine(
             driver.options_.seed, support::stable_hash(fn.name()))),
-        backend_(fn, [&] {
+        traits_([&] {
           sim::TsTraits t = driver.workload_.traits();
           t.workload_scale = driver.trace_.workload_scale;
           return t;
-        }(), driver.machine_, driver.effects_, backend_seed_),
+        }()),
         quarantine_(quarantine),
         journal_(journal),
         replay_(replay) {
@@ -140,43 +153,14 @@ public:
       span.add(obs::attr("candidates", candidates.size() - start));
     }
 
-    std::vector<MemberState> members;
-    members.reserve(candidates.size() - start);
-    for (std::size_t i = start; i < candidates.size(); ++i) {
-      MemberState m;
-      m.base = &base;
-      m.cfg = &candidates[i];
-      m.seed = member_seed(base, candidates[i], /*prologue=*/false);
-      members.push_back(std::move(m));
-    }
-
     // Time-based methods rate the base by memoized EVAL; when the memo
     // does not hold it yet, a prologue member computes it *before* the
-    // fan-out so every member sees the frozen memo entry (instead of all
-    // of them redundantly re-measuring the base).
+    // fan-out so every member's task carries the merged entry (instead of
+    // all of them redundantly re-measuring the base).
     std::optional<MemberState> prologue;
     if (method_ != rating::Method::kRBR &&
         memo_.find(base.key()) == memo_.end()) {
-      prologue.emplace();
-      prologue->base = &base;
-      prologue->cfg = &base;
-      prologue->prologue = true;
-      prologue->seed = member_seed(base, base, /*prologue=*/true);
-    }
-
-    // Cache lookups happen up front on the calling thread; a hit is the
-    // member's delta, so the merge loop below does not care where a
-    // result came from.
-    if (cache_ != nullptr) {
-      const auto t0 = std::chrono::steady_clock::now();
-      if (prologue) load_cached(*prologue);
-      for (MemberState& m : members) load_cached(m);
-      cache_wall_us_ += std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    }
-
-    if (prologue) {
+      prologue.emplace(member(base, base, /*prologue=*/true));
       if (!prologue->from_cache) run_members({&*prologue});
       merge(prologue->delta);
       maybe_store(*prologue);
@@ -189,6 +173,13 @@ public:
       }
     }
 
+    // Members are described only now, so their tasks carry the merged
+    // prologue EVAL; a cache hit is the member's delta, so the merge loop
+    // below does not care where a result came from.
+    std::vector<MemberState> members;
+    members.reserve(candidates.size() - start);
+    for (std::size_t i = start; i < candidates.size(); ++i)
+      members.push_back(member(base, candidates[i], /*prologue=*/false));
     std::vector<MemberState*> to_run;
     for (MemberState& m : members)
       if (!m.from_cache) to_run.push_back(&m);
@@ -203,7 +194,7 @@ public:
       DriverMetrics::get().configs_evaluated.inc();
       if (m.delta.error) std::rethrow_exception(m.delta.error);
       if (journal_ != nullptr)
-        journal_->record_eval(m.base->key(), m.cfg->key(), pro, m.delta);
+        journal_->record_eval(m.task.base_key, m.task.cfg_key, pro, m.delta);
       pro = nullptr;  // the prologue rides along on the first record only
       maybe_store(m);
       out.push_back(m.delta.r);
@@ -212,11 +203,9 @@ public:
   }
 
   /// Worker-side rating of one coordinator-shipped member (see
-  /// TuningDriver::rate_remote_member). The memo is rebuilt from the
-  /// task's frozen entries on every call — never accumulated across
-  /// tasks, whose arrival order is timing-dependent — so the result is a
-  /// pure function of the task descriptor.
-  std::string rate_remote(const RemoteMemberTask& task) {
+  /// TuningDriver::rate_remote_member). Like every member it reads no
+  /// EVAL but its task's, so the result is a pure function of the task.
+  std::string rate_remote(const MemberTask& task) {
     const search::OptimizationSpace& space = driver_.effects_.space();
     PEAK_CHECK(task.base_key.size() == space.size() &&
                    task.cfg_key.size() == space.size(),
@@ -227,13 +216,10 @@ public:
       base.set(i, task.base_key[i] == '1');
       cfg.set(i, task.cfg_key[i] == '1');
     }
-    memo_.clear();
-    for (const auto& [key, eval] : task.memo) memo_.emplace(key, eval);
     MemberState m;
+    m.task = task;
     m.base = &base;
     m.cfg = &cfg;
-    m.prologue = task.prologue;
-    m.seed = task.seed;
     ensure_slots(1);
     m.backend = slots_[0].get();
     run_member(m);
@@ -247,24 +233,22 @@ public:
   /// the replayed deltas already merged their cycles, so the ledger of a
   /// resumed run matches the uninterrupted one.
   void publish_costs() const {
-    const sim::SimExecutionBackend::CycleBreakdown& b =
-        backend_.breakdown();
-    obs::gauge("sim.cycles_timed").add(b.timed);
-    obs::gauge("sim.cycles_precondition").add(b.precondition);
-    obs::gauge("sim.cycles_checkpoint").add(b.checkpoint);
-    obs::gauge("sim.cycles_faulted").add(b.faulted);
-    obs::gauge("sim.cycles_retry").add(b.retry);
+    obs::gauge("sim.cycles_timed").add(costs_.timed);
+    obs::gauge("sim.cycles_precondition").add(costs_.precondition);
+    obs::gauge("sim.cycles_checkpoint").add(costs_.checkpoint);
+    obs::gauge("sim.cycles_faulted").add(costs_.faulted);
+    obs::gauge("sim.cycles_retry").add(costs_.retry);
     obs::gauge("sim.cycles_whole_program_surcharge")
         .add(whole_program_surcharge_);
-    obs::counter("rbr.checkpoint_saves").inc(b.saves);
-    obs::counter("rbr.checkpoint_restores").inc(b.restores);
-    obs::counter("rbr.checkpoint_bytes").inc(b.checkpoint_bytes);
+    obs::counter("rbr.checkpoint_saves").inc(costs_.saves);
+    obs::counter("rbr.checkpoint_restores").inc(costs_.restores);
+    obs::counter("rbr.checkpoint_bytes").inc(costs_.checkpoint_bytes);
 
-    obs::charge_phase("timed", b.timed);
-    obs::charge_phase("precondition", b.precondition);
-    obs::charge_phase("checkpoint", b.checkpoint);
-    obs::charge_phase("faulted", b.faulted);
-    obs::charge_phase("retry", b.retry);
+    obs::charge_phase("timed", costs_.timed);
+    obs::charge_phase("precondition", costs_.precondition);
+    obs::charge_phase("checkpoint", costs_.checkpoint);
+    obs::charge_phase("faulted", costs_.faulted);
+    obs::charge_phase("retry", costs_.retry);
     obs::charge_phase("whole_program", whole_program_surcharge_);
     // Wall-only phase: the rating cache consumes no simulated cycles
     // (the cycles a hit *saves* re-enter through the cached cost deltas).
@@ -286,8 +270,7 @@ public:
 
   [[nodiscard]] TuningCost cost() const {
     TuningCost c;
-    c.simulated_time =
-        backend_.accumulated_time() + whole_program_surcharge_;
+    c.simulated_time = costs_.accumulated + whole_program_surcharge_;
     c.invocations = invocations_;
     c.configs_evaluated = evaluations_;
     c.program_runs = driver_.trace_.invocations.empty()
@@ -305,16 +288,15 @@ public:
   }
 
 private:
-  /// One rating of a batch. Everything it *reads* is either immutable
-  /// during the fan-out (the shared memo, the trace) or copied in here at
-  /// rating start (quarantine, validated set); everything it *writes*
-  /// lands in `delta`, which merge() folds into the evaluator on the
-  /// primary thread, in canonical candidate order.
+  /// One rating of a batch. Everything it *reads* is its task (stream
+  /// seed, memo EVALs), immutable during the fan-out (the trace), or
+  /// copied in here at rating start (quarantine, validated set);
+  /// everything it *writes* lands in `delta`, which merge() folds into
+  /// the evaluator on the primary thread, in canonical candidate order.
   struct MemberState {
-    const search::FlagConfig* base = nullptr;
-    const search::FlagConfig* cfg = nullptr;
-    bool prologue = false;  ///< rates the base EVAL only
-    std::uint64_t seed = 0;
+    MemberTask task;
+    const search::FlagConfig* base = nullptr;  ///< task.base_key's config
+    const search::FlagConfig* cfg = nullptr;   ///< task.cfg_key's config
     sim::SimExecutionBackend* backend = nullptr;
     std::optional<fault::GuardedExecutor> guard;
     fault::Quarantine quarantine;     ///< copy of the shared registry
@@ -325,29 +307,42 @@ private:
     std::string cache_key;
   };
 
-  /// Stream seed of one member: a pure function of (run seed, section,
-  /// base bits, candidate bits), so a candidate's measurement stream is
-  /// independent of batch position, thread count, and everything rated
-  /// before it — the property both the N-independence guarantee and the
-  /// persistent cache rest on.
-  [[nodiscard]] std::uint64_t member_seed(const search::FlagConfig& base,
-                                          const search::FlagConfig& cfg,
-                                          bool prologue) const {
-    std::uint64_t s = support::hash_combine(
-        support::hash_combine(backend_seed_,
-                              support::stable_hash(base.key())),
-        support::stable_hash(cfg.key()));
+  /// A member and its task, built from the merged state. The stream seed
+  /// is a pure function of (run seed, section, base bits, candidate
+  /// bits), so a candidate's measurement stream is independent of batch
+  /// position, thread count, and everything rated before it; the memo
+  /// EVALs are the merged ones of the base and the candidate, all a
+  /// rating looks up. With a cache, a hit is the member's delta.
+  MemberState member(const search::FlagConfig& base,
+                     const search::FlagConfig& cfg, bool prologue) {
+    MemberState m;
+    m.base = &base;
+    m.cfg = &cfg;
+    MemberTask& t = m.task;
+    t.method = method_;
+    t.base_key = base.key();
+    t.cfg_key = cfg.key();
+    t.prologue = prologue;
+    t.seed = support::hash_combine(
+        support::hash_combine(backend_seed_, support::stable_hash(t.base_key)),
+        support::stable_hash(t.cfg_key));
     // The prologue rates (base, base) with a distinct stream from a
     // hypothetical (base, base) candidate.
-    if (prologue) s = support::hash_combine(s, 0x70726f6c6f677565ULL);
-    return s;
+    if (prologue) t.seed = support::hash_combine(t.seed, 0x70726f6c6f677565ULL);
+    const auto add_memo = [&](const std::string& key) {
+      const auto it = memo_.find(key);
+      if (it != memo_.end()) t.memo.emplace_back(key, it->second);
+    };
+    add_memo(t.base_key);
+    if (t.cfg_key != t.base_key) add_memo(t.cfg_key);
+    load_cached(m);
+    return m;
   }
 
   void ensure_slots(std::size_t n) {
     while (slots_.size() < n) {
       auto clone = std::make_unique<sim::SimExecutionBackend>(
-          fn_, backend_.traits(), driver_.machine_, driver_.effects_,
-          backend_seed_);
+          fn_, traits_, driver_.machine_, driver_.effects_, backend_seed_);
       clone->set_checkpoint_bytes(
           driver_.profile_.input_sets.input_bytes(fn_),
           driver_.profile_.checkpoint_plan.bytes(fn_));
@@ -429,15 +424,15 @@ private:
       });
       m.guard->set_reference(*m.base);
     }
-    m.backend->reset_measurement_stream(m.seed);
+    m.backend->reset_measurement_stream(m.task.seed);
     // Zero the clone's cost tallies so this member's costs are sums that
     // start from 0.0 — whatever the slot accumulated earlier would
     // otherwise round into them, making simulated_time depend on the
     // member → slot assignment (i.e. on the thread count).
-    m.backend->reset_accumulated_time();
+    m.backend->reset_costs();
     try {
       try {
-        if (m.prologue) {
+        if (m.task.prologue) {
           rate_time(m, *m.base);
         } else if (method_ == rating::Method::kRBR) {
           m.delta.r = rbr_ratio(m);
@@ -447,7 +442,7 @@ private:
           PEAK_CHECK(e_cfg > 0.0, "non-positive rating");
           m.delta.r = e_base / e_cfg;
         }
-        if (!m.prologue) maybe_validate(m, m.delta.r);
+        if (!m.task.prologue) maybe_validate(m, m.delta.r);
       } catch (const fault::ConfigFailed&) {
         // The configuration cannot be measured: quarantined, retry budget
         // exhausted, or miscompiled. Report "no improvement" so the
@@ -490,9 +485,9 @@ private:
   /// search may adopt it. Throws fault::ConfigFailed on a miscompile
   /// (which also quarantines the config).
   void maybe_validate(MemberState& m, double r) {
-    if (!m.guard || !driver_.options_.fault.validate_improvements) return;
+    if (!m.guard || !kValidateImprovements) return;
     if (r <= 1.0) return;
-    const std::string key = m.cfg->key();
+    const std::string& key = m.task.cfg_key;
     if (m.validated.count(key) != 0) return;
     m.guard->validate(*m.cfg, next_invocation(m));
     m.validated.insert(key);
@@ -540,15 +535,14 @@ private:
   }
 
   /// Time-like EVAL of one configuration (CBR, MBR, AVG, WHL), memoized
-  /// by config key. The shared memo is frozen during a batch (the
-  /// prologue published the base EVAL before the fan-out); a member
-  /// additionally sees its own additions.
+  /// by config key. A member looks EVALs up in its task (the merged memo
+  /// when the task was built, after the prologue) and then in its own
+  /// additions — never in the shared memo.
   double rate_time(MemberState& m, const search::FlagConfig& cfg) {
     const std::string key = cfg.key();
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    for (const auto& [k, v] : m.delta.memo)
-      if (k == key) return v;
+    for (const auto* memo : {&m.task.memo, &m.delta.memo})
+      for (const auto& [k, v] : *memo)
+        if (k == key) return v;
     ++m.delta.ratings_started;
 
     double eval = 0.0;
@@ -667,9 +661,7 @@ private:
     ratings_ += d.ratings_started;
     exhausted_ += d.exhausted;
     whole_program_surcharge_ += d.whole_program_surcharge;
-    // Simulated-cycle costs fold into the primary backend, which only
-    // ever accumulates: it never measures itself.
-    backend_.absorb_cost_deltas(d.cost);
+    costs_ += d.cost;
   }
 
   /// Replay one recorded evaluation: merge its recorded deltas exactly as
@@ -692,20 +684,21 @@ private:
   }
 
   void load_cached(MemberState& m) {
-    m.cache_key = make_cache_key(*m.base, *m.cfg, m.prologue);
-    std::optional<RatingDelta> hit = cache_->lookup(m.cache_key);
-    if (!hit) return;
-    m.from_cache = true;
-    m.delta = std::move(*hit);
+    if (cache_ == nullptr) return;
+    const auto t0 = std::chrono::steady_clock::now();
+    m.cache_key = cache_fingerprint_.key(m.task);
+    if (std::optional<RatingDelta> hit = cache_->lookup(m.cache_key)) {
+      m.from_cache = true;
+      m.delta = std::move(*hit);
+    }
+    cache_wall_us_ += us_since(t0);
   }
 
   void maybe_store(const MemberState& m) {
     if (cache_ == nullptr || m.from_cache || m.delta.error) return;
     const auto t0 = std::chrono::steady_clock::now();
     cache_->store(m.cache_key, m.delta);
-    cache_wall_us_ += std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    cache_wall_us_ += us_since(t0);
   }
 
   // ---- Worker transports -------------------------------------------------
@@ -726,9 +719,9 @@ private:
     proc::SupervisorPolicy policy;
     policy.workers = slots;
     // The TaskFn body executes in the forked child: it inherits the
-    // evaluator frozen at fork time (members, memo, quarantine, slot
-    // clones) by copy-on-write and ships the member's delta back as one
-    // frame. Nothing the child mutates is visible here.
+    // evaluator frozen at fork time (members, quarantine, slot clones) by
+    // copy-on-write and ships the member's delta back as one frame.
+    // Nothing the child mutates is visible here.
     proc::Supervisor sup(
         [this, &targets, slots, clone = slots](std::size_t task,
                                                std::size_t attempt) mutable {
@@ -747,31 +740,13 @@ private:
     collect(targets, sup.run(targets.size()));
   }
 
-  /// Run `targets` on the coordinator's worker fleet. Each member becomes
-  /// one RemoteMemberTask — method, config bits, content-derived stream
-  /// seed, and the frozen memo entries the rating may read (at most the
-  /// base's and the candidate's) — so the remote rating is the same pure
-  /// function of content the local slot threads compute.
+  /// Run `targets` on the coordinator's worker fleet. Each member's
+  /// MemberTask ships unchanged as its task frame, so the remote rating
+  /// is the same pure function of content the local slot threads compute.
   void run_remote(const std::vector<MemberState*>& targets) {
-    std::vector<RemoteMemberTask> tasks;
+    std::vector<MemberTask> tasks;
     tasks.reserve(targets.size());
-    for (const MemberState* mp : targets) {
-      RemoteMemberTask t;
-      t.method = method_;
-      t.base_key = mp->base->key();
-      t.cfg_key = mp->cfg->key();
-      t.prologue = mp->prologue;
-      t.seed = mp->seed;
-      const auto base_it = memo_.find(t.base_key);
-      if (base_it != memo_.end())
-        t.memo.emplace_back(base_it->first, base_it->second);
-      if (t.cfg_key != t.base_key) {
-        const auto cfg_it = memo_.find(t.cfg_key);
-        if (cfg_it != memo_.end())
-          t.memo.emplace_back(cfg_it->first, cfg_it->second);
-      }
-      tasks.push_back(std::move(t));
-    }
+    for (const MemberState* m : targets) tasks.push_back(m->task);
     collect(targets, driver_.options_.coordinator->run_round(tasks));
   }
 
@@ -808,7 +783,7 @@ private:
   void synthesize_process_failure(MemberState& m,
                                   const proc::TaskOutcome& out) {
     m.delta = RatingDelta{};
-    const std::string key = m.cfg->key();
+    const std::string& key = m.task.cfg_key;
     fault::FaultKind kind = fault::FaultKind::kHardCrash;
     if (!out.failures.empty() &&
         out.failures.front().cls == proc::ExitClass::kTimeout)
@@ -824,7 +799,7 @@ private:
     ev.gave_up = true;
     ev.quarantined = deterministic;
     m.delta.events.push_back(std::move(ev));
-    if (m.prologue)
+    if (m.task.prologue)
       // The *base* crashes its process deterministically: no candidate
       // can be rated against it, so the method is unusable here — same
       // answer RatingNotConverging gives for an unmeasurable base.
@@ -833,102 +808,64 @@ private:
           driver_.workload_.full_name()));
   }
 
-  /// Everything a batched rating's outcome is a function of, besides the
-  /// (base, candidate) bits: machine, section, trace content, run seed,
-  /// rating method and its parameters, and the effect model's behaviour.
-  /// Mixed into two independent 64-bit chains; each cache key extends
-  /// them with the config bits (128-bit keys make accidental collisions
-  /// implausible at any realistic cache size).
+  /// Everything a batched rating's outcome is a function of, besides its
+  /// MemberTask: machine, section, trace content, run seed, rating
+  /// parameters, and the effect model's behaviour.
   void init_cache_fingerprint() {
-    std::uint64_t h1 = support::stable_hash("peak.rating_cache.v1");
-    std::uint64_t h2 = support::stable_hash("peak.rating_cache.v1.alt");
-    const auto mix = [&](std::uint64_t v) {
-      h1 = support::hash_combine(h1, v);
-      h2 = support::hash_combine(h2, v ^ 0x636f6e74656e7431ULL);
-    };
-    const auto mix_d = [&](double d) {
-      mix(std::bit_cast<std::uint64_t>(d));
-    };
-    const auto mix_s = [&](std::string_view s) {
-      mix(support::stable_hash(s));
-    };
-    mix_s(driver_.machine_.name);
-    mix_s(driver_.workload_.full_name());
-    mix(driver_.options_.seed);
-    mix_s(rating::to_string(method_));
+    RatingCache::Fingerprint& f = cache_fingerprint_;
+    f.mix_string(driver_.machine_.name);
+    f.mix_string(driver_.workload_.full_name());
+    f.mix(driver_.options_.seed);
     const rating::WindowPolicy& w = driver_.options_.window;
-    mix(w.min_samples);
-    mix(w.max_samples);
-    mix_d(w.cv_threshold);
-    mix(static_cast<std::uint64_t>(w.outliers.rule));
-    mix_d(w.outliers.k);
-    mix_d(w.outliers.max_drop_fraction);
-    mix(static_cast<std::uint64_t>(w.outliers.max_iterations));
+    f.mix(w.min_samples);
+    f.mix(w.max_samples);
+    f.mix_double(w.cv_threshold);
+    f.mix(static_cast<std::uint64_t>(w.outliers.rule));
+    f.mix_double(w.outliers.k);
+    f.mix_double(w.outliers.max_drop_fraction);
+    f.mix(static_cast<std::uint64_t>(w.outliers.max_iterations));
     const rating::MbrPolicy& mb = driver_.options_.mbr;
-    mix(mb.min_samples_per_component);
-    mix(mb.max_samples);
-    mix_d(mb.var_threshold);
-    mix_d(mb.cv_threshold);
-    mix_d(mb.dominant_share);
-    mix(driver_.options_.improved_rbr ? 1 : 0);
-    mix(driver_.options_.rbr_batch_pairs);
-    mix(driver_.profile_.num_contexts);
-    mix(driver_.profile_.input_sets.input_bytes(fn_));
-    mix(driver_.profile_.checkpoint_plan.bytes(fn_));
-    mix_d(driver_.workload_.ts_time_fraction());
+    f.mix(mb.min_samples_per_component);
+    f.mix(mb.max_samples);
+    f.mix_double(mb.var_threshold);
+    f.mix_double(mb.cv_threshold);
+    f.mix_double(mb.dominant_share);
+    f.mix(driver_.options_.improved_rbr ? 1 : 0);
+    f.mix(driver_.options_.rbr_batch_pairs);
+    f.mix(driver_.profile_.num_contexts);
+    f.mix(driver_.profile_.input_sets.input_bytes(fn_));
+    f.mix(driver_.profile_.checkpoint_plan.bytes(fn_));
+    f.mix_double(driver_.workload_.ts_time_fraction());
     // Trace content: ids, contexts, cacheability, irregularity.
-    mix_d(driver_.trace_.workload_scale);
-    mix(driver_.trace_.invocations.size());
+    f.mix_double(driver_.trace_.workload_scale);
+    f.mix(driver_.trace_.invocations.size());
     for (const sim::Invocation& inv : driver_.trace_.invocations) {
-      mix(inv.id);
-      mix(inv.context_determines_time ? 1 : 0);
-      mix_d(inv.irregularity);
-      mix(inv.context.size());
-      for (double c : inv.context) mix_d(c);
+      f.mix(inv.id);
+      f.mix(inv.context_determines_time ? 1 : 0);
+      f.mix_double(inv.irregularity);
+      f.mix(inv.context.size());
+      for (double c : inv.context) f.mix_double(c);
     }
     // Effect-model fingerprint: the multipliers of the two canonical
     // configurations pin down the model's seed and curated story (any
     // change to either moves these bit patterns).
     const search::OptimizationSpace& space = driver_.effects_.space();
-    mix_d(driver_.effects_.time_multiplier(backend_.traits(),
-                                           driver_.machine_,
-                                           search::o3_config(space)));
-    mix_d(driver_.effects_.time_multiplier(backend_.traits(),
-                                           driver_.machine_,
-                                           search::baseline_config(space)));
-    cache_salt_ = {h1, h2};
+    f.mix_double(driver_.effects_.time_multiplier(
+        traits_, driver_.machine_, search::o3_config(space)));
+    f.mix_double(driver_.effects_.time_multiplier(
+        traits_, driver_.machine_, search::baseline_config(space)));
   }
-
-  [[nodiscard]] std::string make_cache_key(const search::FlagConfig& base,
-                                           const search::FlagConfig& cfg,
-                                           bool prologue) const {
-    std::uint64_t h1 = cache_salt_.first;
-    std::uint64_t h2 = cache_salt_.second;
-    const auto mix = [&](std::uint64_t v) {
-      h1 = support::hash_combine(h1, v);
-      h2 = support::hash_combine(h2, v ^ 0x636f6e74656e7431ULL);
-    };
-    for (std::uint64_t word : base.bits().words()) mix(word);
-    mix(0x2f);  // separator: bits are length-prefixed by space size anyway
-    for (std::uint64_t word : cfg.bits().words()) mix(word);
-    mix(prologue ? 0x70726f6c6f677565ULL : 0);
-    char buf[33];
-    std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                  static_cast<unsigned long long>(h1),
-                  static_cast<unsigned long long>(h2));
-    return std::string(buf);
-  }
-
 
   const TuningDriver& driver_;
   rating::Method method_;
   const ir::Function& fn_;
-  /// Seed of the primary backend; member stream seeds and backend clones
-  /// derive from it, so they are content-addressed too.
+  /// Seed of the slot clones; member stream seeds derive from it, so
+  /// they are content-addressed too.
   std::uint64_t backend_seed_;
-  /// Accumulates the merged members' simulated-cycle costs; never
-  /// measures itself.
-  sim::SimExecutionBackend backend_;
+  /// The section's traits at the tuning trace's workload scale.
+  sim::TsTraits traits_;
+  /// Sum of the merged members' simulated-cycle costs.
+  sim::Costs costs_;
   std::map<std::string, double> memo_;
   std::size_t invocations_ = 0;
   std::size_t evaluations_ = 0;  ///< relative_improvement() calls
@@ -954,8 +891,8 @@ private:
   std::unique_ptr<support::ThreadPool> pool_;
   /// Persistent rating cache; null unless configured without an injector.
   RatingCache* cache_ = nullptr;
-  /// Run-fingerprint halves every cache key starts from.
-  std::pair<std::uint64_t, std::uint64_t> cache_salt_{};
+  /// Run fingerprint every cache key starts from.
+  RatingCache::Fingerprint cache_fingerprint_;
   /// Wall spent on cache lookups/stores, charged as the "cache" phase.
   double cache_wall_us_ = 0.0;
   /// Wall burned by worker-process deaths (isolate_workers): attempts
@@ -1017,7 +954,7 @@ void TuningDriver::prepare_journal() {
   journal_ = std::make_unique<TuningJournal>(options_.fault.journal_path);
 }
 
-std::string TuningDriver::rate_remote_member(const RemoteMemberTask& task) {
+std::string TuningDriver::rate_remote_member(const MemberTask& task) {
   PEAK_CHECK(options_.fault.injector == nullptr,
              "a remote rating host cannot carry a fault injector");
   auto it = remote_evals_.find(task.method);
@@ -1124,7 +1061,7 @@ TuningOutcome TuningDriver::tune_auto() {
     outcome.cost.configs_evaluated += accumulated.configs_evaluated;
     const bool last = i + 1 == chain.size();
     if (last ||
-        outcome.exhausted_fraction <= options_.max_exhausted_fraction) {
+        outcome.exhausted_fraction <= kMaxExhaustedFraction) {
       search::SearchEvent chosen;
       chosen.kind = search::SearchEvent::Kind::kMethodChosen;
       chosen.flag = rating::to_string(chain[i]);

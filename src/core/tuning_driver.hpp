@@ -33,7 +33,7 @@ namespace peak::core {
 class TuningJournal;
 struct JournalSegment;
 class RatingCache;
-struct RemoteMemberTask;
+struct MemberTask;
 
 /// Fault-tolerance knobs. With no injector installed the driver's
 /// measurement path is bit-identical to the fault-oblivious one (no
@@ -51,10 +51,6 @@ struct FaultOptions {
   /// (only the rating windows' non-finite-sample guard remains) — used by
   /// tests and the fault-sweep bench as the "unprotected" arm.
   bool guard_execution = true;
-  /// Validate the output digest of any config that rates as an
-  /// improvement before the search may adopt it (one extra invocation
-  /// per distinct improving config; miscompiles are quarantined).
-  bool validate_improvements = true;
   /// Append-only JSONL tuning journal ("" = no journal).
   std::string journal_path;
   /// Replay the journal at `journal_path` first, then continue live from
@@ -75,9 +71,6 @@ struct DriverOptions {
   /// optimization). 1 = one pair per invocation.
   std::size_t rbr_batch_pairs = 1;
   std::uint64_t seed = 1;
-  /// Exhaustion fraction beyond which tune_auto() falls back to the next
-  /// applicable rating method (paper Section 3, method switching).
-  double max_exhausted_fraction = 0.3;
   /// Search algorithm over the flag space; null = Iterative Elimination
   /// with the `ie` options. The pointer is shared so a caller can reuse
   /// one algorithm instance across drivers.
@@ -180,10 +173,10 @@ public:
   /// member shipped by a coordinator and return its encoded RatingDelta
   /// (core/rating_delta.hpp), which the coordinator merges. The rating
   /// runs through the exact batch-member path local threads use — same
-  /// content-seeded stream, same slot-clone reset — seeded entirely from
-  /// the task descriptor, so the returned bytes are a pure function of
-  /// (driver scenario, task). Requires no fault injector.
-  std::string rate_remote_member(const RemoteMemberTask& task);
+  /// content-seeded stream, same slot-clone reset, same MemberTask — so
+  /// the returned bytes are a pure function of (driver scenario, task).
+  /// Requires no fault injector.
+  std::string rate_remote_member(const MemberTask& task);
 
 private:
   class Evaluator;

@@ -216,7 +216,7 @@ void Coordinator::fail_worker(Worker& w, proc::ExitClass cls,
 }
 
 void Coordinator::dispatch_idle(
-    const std::vector<core::RemoteMemberTask>& tasks) {
+    const std::vector<core::MemberTask>& tasks) {
   for (const auto& wp : workers_) {
     Worker& w = *wp;
     if (w.state != Worker::State::kReady || round_->held(w.round_slot))
@@ -298,7 +298,7 @@ void Coordinator::pump(int wait_ms) {
 }
 
 std::vector<proc::TaskOutcome> Coordinator::run_round(
-    const std::vector<core::RemoteMemberTask>& tasks) {
+    const std::vector<core::MemberTask>& tasks) {
   if (tasks.empty()) return {};
 
   // Static schedule over the fleet at round start: task i → ready

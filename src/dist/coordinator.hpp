@@ -111,7 +111,7 @@ public:
   /// by construction). Throws FleetLost when the whole fleet is gone: at
   /// once when no worker can join, else after connect_timeout.
   std::vector<proc::TaskOutcome> run_round(
-      const std::vector<core::RemoteMemberTask>& tasks);
+      const std::vector<core::MemberTask>& tasks);
 
   /// Graceful fleet shutdown: send every worker a bye frame, close all
   /// connections and the listener. Idempotent.
@@ -132,7 +132,7 @@ private:
   void pump(int wait_ms);
   /// Throws support::CheckError on a malformed frame.
   void handle_frame(Worker& w, const std::string& payload);
-  void dispatch_idle(const std::vector<core::RemoteMemberTask>& tasks);
+  void dispatch_idle(const std::vector<core::MemberTask>& tasks);
   void check_deadlines();
   /// Declare a worker dead: the round's scheduler fails its in-flight
   /// task (if any); close the connection. The worker stays in workers_

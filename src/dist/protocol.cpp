@@ -91,7 +91,7 @@ std::string refuse_frame(const std::string& reason) {
 std::string ready_frame() { return "{\"op\":\"ready\"}"; }
 
 std::string task_frame(std::uint64_t id, unsigned attempt,
-                       const core::RemoteMemberTask& task) {
+                       const core::MemberTask& task) {
   std::ostringstream out;
   out << "{\"op\":\"task\",\"id\":" << id << ",\"attempt\":" << attempt
       << ",\"m\":" << jsonl::quote(rating::to_string(task.method))

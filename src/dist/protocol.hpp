@@ -45,7 +45,7 @@ constexpr std::uint64_t kDistProtocolVersion = 1;
 [[nodiscard]] std::string refuse_frame(const std::string& reason);
 [[nodiscard]] std::string ready_frame();
 [[nodiscard]] std::string task_frame(std::uint64_t id, unsigned attempt,
-                                     const core::RemoteMemberTask& task);
+                                     const core::MemberTask& task);
 [[nodiscard]] std::string result_frame(std::uint64_t id,
                                        const std::string& payload);
 [[nodiscard]] std::string error_frame(std::uint64_t id,
@@ -66,7 +66,7 @@ constexpr std::uint64_t kDistProtocolVersion = 1;
 struct TaskFrame {
   std::uint64_t id = 0;
   unsigned attempt = 0;
-  core::RemoteMemberTask task;
+  core::MemberTask task;
 };
 
 /// Throws support::CheckError on a malformed record (missing field, bad

@@ -62,6 +62,19 @@ std::uint64_t digest_corruption(const search::FlagConfig& cfg) {
 
 }  // namespace
 
+Costs& Costs::operator+=(const Costs& d) {
+  accumulated += d.accumulated;
+  timed += d.timed;
+  precondition += d.precondition;
+  checkpoint += d.checkpoint;
+  faulted += d.faulted;
+  retry += d.retry;
+  saves += d.saves;
+  restores += d.restores;
+  checkpoint_bytes += d.checkpoint_bytes;
+  return *this;
+}
+
 SimExecutionBackend::SimExecutionBackend(const ir::Function& fn,
                                          TsTraits traits,
                                          const MachineModel& machine,
@@ -171,26 +184,23 @@ double SimExecutionBackend::timed_run(const BaseRun& base, double mult,
       base.cycles * mult * irregularity * warmth_.execute() *
           noise_.sample() +
       noise_.sample_additive();
-  accumulated_ += time;
-  (precondition ? breakdown_.precondition : breakdown_.timed) += time;
+  charge(precondition ? costs_.precondition : costs_.timed, time);
   return time;
 }
 
 double SimExecutionBackend::charge_save(std::size_t bytes) {
   const double cost = checkpoint_cost(bytes);
-  accumulated_ += cost;
-  breakdown_.checkpoint += cost;
-  breakdown_.checkpoint_bytes += bytes;
-  ++breakdown_.saves;
+  charge(costs_.checkpoint, cost);
+  costs_.checkpoint_bytes += bytes;
+  ++costs_.saves;
   return cost;
 }
 
 double SimExecutionBackend::charge_restore(std::size_t bytes) {
   const double cost = checkpoint_cost(bytes);
-  accumulated_ += cost;
-  breakdown_.checkpoint += cost;
-  breakdown_.checkpoint_bytes += bytes;
-  ++breakdown_.restores;
+  charge(costs_.checkpoint, cost);
+  costs_.checkpoint_bytes += bytes;
+  ++costs_.restores;
   warmth_.on_restore();
   return cost;
 }
@@ -228,16 +238,13 @@ void SimExecutionBackend::raise_fault(fault::FaultKind kind,
   switch (kind) {
     case fault::FaultKind::kCrash: {
       // The run aborted partway: half the nominal duration was spent.
-      const double partial = 0.5 * nominal;
-      accumulated_ += partial;
-      breakdown_.faulted += partial;
+      charge(costs_.faulted, 0.5 * nominal);
       throw fault::CrashFault(transient, "injected crash" + where);
     }
     case fault::FaultKind::kHang: {
       if (deadline_cycles_ > 0.0) {
         // The watchdog waited out the full deadline before giving up.
-        accumulated_ += deadline_cycles_;
-        breakdown_.faulted += deadline_cycles_;
+        charge(costs_.faulted, deadline_cycles_);
         fault_metrics().deadline.inc();
         throw fault::DeadlineExceeded(
             deadline_cycles_, "injected hang hit the deadline" + where);
@@ -248,8 +255,7 @@ void SimExecutionBackend::raise_fault(fault::FaultKind kind,
     case fault::FaultKind::kTimerGlitch: {
       // RBR path: the pair ran (charge its duration) but the timer
       // glitched, so the measurements are unusable and discarded.
-      accumulated_ += nominal;
-      breakdown_.faulted += nominal;
+      charge(costs_.faulted, nominal);
       throw fault::FaultError(fault::FaultKind::kTimerGlitch, transient,
                               "injected timer glitch" + where);
     }
@@ -285,8 +291,7 @@ InvocationResult SimExecutionBackend::invoke(const search::FlagConfig& cfg,
     // The run completes (charge its nominal duration) but the timer
     // wrapped: report an absurd reading, again without a noise draw.
     fault_metrics().injected.inc();
-    accumulated_ += nominal;
-    breakdown_.faulted += nominal;
+    charge(costs_.faulted, nominal);
     result.time = std::numeric_limits<double>::infinity();
   } else {
     result.time = timed_run(base, mult, inv.irregularity);

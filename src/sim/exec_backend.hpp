@@ -96,10 +96,34 @@ struct RbrPairResult {
   bool swapped = false;  ///< experimental version ran first
 };
 
+/// Simulated-cycle cost of a span of work, per phase, plus RBR
+/// checkpoint traffic tallies — the tuning cost the obs layer exports.
+/// A backend keeps one since construction or its last reset_costs(); a
+/// batch member rates on a freshly reset clone, so its record is exactly
+/// the member's cost, and the driver sums the merged members' records
+/// with +=.
+struct Costs {
+  double accumulated = 0.0;   ///< every phase below: the tuning cost
+  double timed = 0.0;         ///< production-like and experimental runs
+  double precondition = 0.0;  ///< untimed cache-warming runs
+  double checkpoint = 0.0;    ///< save/restore traffic
+  /// Cycles lost to injected faults: partial crashed runs, hang time up
+  /// to the watchdog deadline.
+  double faulted = 0.0;
+  /// Backoff waits before re-measurements (charge_retry), separated
+  /// from `faulted` so the ledger can report retry cost on its own.
+  double retry = 0.0;
+  std::uint64_t saves = 0;
+  std::uint64_t restores = 0;
+  std::uint64_t checkpoint_bytes = 0;  ///< total bytes saved + restored
+
+  Costs& operator+=(const Costs& d);
+};
+
 /// Thread-compatibility: a backend is confined to one thread at a time
 /// (no internal locking). Concurrent evaluation uses one clone per worker
-/// slot — clones share only `fn`/`effects` (const) — and serializes all
-/// cross-clone merging through costs()/absorb_cost_deltas().
+/// slot — clones share only `fn`/`effects` (const) — and each hands its
+/// costs() back to the caller, which merges them.
 class SimExecutionBackend {
 public:
   SimExecutionBackend(const ir::Function& fn, TsTraits traits,
@@ -173,21 +197,10 @@ public:
   void set_deadline_cycles(double cycles) { deadline_cycles_ = cycles; }
   [[nodiscard]] double deadline_cycles() const { return deadline_cycles_; }
 
-  /// Charge tuning overhead that did not come from a simulated run;
-  /// attributed to the faulted phase (partial crashed runs and similar
-  /// write-offs the caller prices itself).
-  void charge_penalty(double cycles) {
-    accumulated_ += cycles;
-    breakdown_.faulted += cycles;
-  }
-
-  /// Like charge_penalty(), but attributed to the retry phase — backoff
-  /// waits before a re-measurement, which the cost ledger reports
-  /// separately from cycles lost to the faults themselves.
-  void charge_retry(double cycles) {
-    accumulated_ += cycles;
-    breakdown_.retry += cycles;
-  }
+  /// Charge tuning overhead that did not come from a simulated run to the
+  /// retry phase — backoff waits before a re-measurement, which the cost
+  /// ledger reports separately from cycles lost to the faults themselves.
+  void charge_retry(double cycles) { charge(costs_.retry, cycles); }
 
   /// Digest of the reference (correct) post-run memory effects for this
   /// invocation — what validation compares an experimental version's
@@ -202,86 +215,18 @@ public:
   /// rating, which makes the rating a function of (seed, base, cfg) alone
   /// — independent of which backend clone runs it and of everything that
   /// clone measured before. Cost tallies are left untouched (the caller
-  /// resets them with reset_accumulated_time()).
+  /// resets them with reset_costs()).
   void reset_measurement_stream(std::uint64_t seed) {
     noise_.rng().reseed(seed);
     warmth_.set_warmth(0.0);
     swap_toggle_ = false;
   }
 
-  /// Accumulated simulated wall time of everything this backend executed
-  /// (timed runs, preconditioning, save/restore). This is the tuning cost.
-  [[nodiscard]] double accumulated_time() const { return accumulated_; }
-  void reset_accumulated_time() {
-    accumulated_ = 0.0;
-    breakdown_ = CycleBreakdown{};
-  }
-
-  /// Attribution of accumulated_time() to simulator phases, plus RBR
-  /// checkpoint traffic tallies — the per-phase cycle data the obs layer
-  /// exports after each tuning run.
-  struct CycleBreakdown {
-    double timed = 0.0;         ///< production-like and experimental runs
-    double precondition = 0.0;  ///< untimed cache-warming runs
-    double checkpoint = 0.0;    ///< save/restore traffic
-    /// Cycles lost to injected faults: partial crashed runs, hang time up
-    /// to the watchdog deadline.
-    double faulted = 0.0;
-    /// Backoff waits before re-measurements (charge_retry), separated
-    /// from `faulted` so the ledger can report retry cost on its own.
-    double retry = 0.0;
-    std::uint64_t saves = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t checkpoint_bytes = 0;  ///< total bytes saved + restored
-  };
-  [[nodiscard]] const CycleBreakdown& breakdown() const {
-    return breakdown_;
-  }
-
-  /// Cost tallies of one span of work on one backend. Exchange currency
-  /// of batched evaluation: a member rates on a slot clone whose tallies
-  /// were just reset, so costs() afterwards is exactly the member's cost,
-  /// and the merge step folds it into the primary backend.
-  struct CostDeltas {
-    double accumulated = 0.0;
-    double timed = 0.0;
-    double precondition = 0.0;
-    double checkpoint = 0.0;
-    double faulted = 0.0;
-    double retry = 0.0;
-    std::uint64_t saves = 0;
-    std::uint64_t restores = 0;
-    std::uint64_t checkpoint_bytes = 0;
-  };
-  /// Everything counted since construction or the last
-  /// reset_accumulated_time().
-  [[nodiscard]] CostDeltas costs() const {
-    return {.accumulated = accumulated_,
-            .timed = breakdown_.timed,
-            .precondition = breakdown_.precondition,
-            .checkpoint = breakdown_.checkpoint,
-            .faulted = breakdown_.faulted,
-            .retry = breakdown_.retry,
-            .saves = breakdown_.saves,
-            .restores = breakdown_.restores,
-            .checkpoint_bytes = breakdown_.checkpoint_bytes};
-  }
-
-  /// Fold cost deltas measured on a clone into this backend's tallies.
-  /// Only the cost side is touched — rng, warmth, and swap order stay as
-  /// they are, so a backend that merges batch results never perturbs its
-  /// own (unconsumed) measurement stream.
-  void absorb_cost_deltas(const CostDeltas& d) {
-    accumulated_ += d.accumulated;
-    breakdown_.timed += d.timed;
-    breakdown_.precondition += d.precondition;
-    breakdown_.checkpoint += d.checkpoint;
-    breakdown_.faulted += d.faulted;
-    breakdown_.retry += d.retry;
-    breakdown_.saves += d.saves;
-    breakdown_.restores += d.restores;
-    breakdown_.checkpoint_bytes += d.checkpoint_bytes;
-  }
+  /// Everything this backend executed since construction or the last
+  /// reset_costs() (timed runs, preconditioning, save/restore, faults);
+  /// `accumulated` is the tuning cost.
+  [[nodiscard]] const Costs& costs() const { return costs_; }
+  void reset_costs() { costs_ = Costs{}; }
 
   [[nodiscard]] const ir::Function& function() const { return fn_; }
   [[nodiscard]] TsTraits& traits() { return traits_; }
@@ -352,6 +297,11 @@ private:
   /// the checkpoint phase, and (restore only) resets cache warmth.
   double charge_save(std::size_t bytes);
   double charge_restore(std::size_t bytes);
+  /// Add `cycles` to the total and to one phase of costs_.
+  void charge(double& phase, double cycles) {
+    costs_.accumulated += cycles;
+    phase += cycles;
+  }
 
   const ir::Function& fn_;
   TsTraits traits_;
@@ -379,8 +329,7 @@ private:
 
   std::size_t full_input_bytes_ = 4096;
   std::size_t modified_input_bytes_ = 1024;
-  double accumulated_ = 0.0;
-  CycleBreakdown breakdown_;
+  Costs costs_;
   bool swap_toggle_ = false;
 
   const fault::FaultInjector* injector_ = nullptr;

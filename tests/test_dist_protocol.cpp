@@ -32,8 +32,8 @@ protected:
   }
 
   /// A representative task with bit-awkward memo doubles.
-  static core::RemoteMemberTask task(std::size_t bits) {
-    core::RemoteMemberTask t;
+  static core::MemberTask task(std::size_t bits) {
+    core::MemberTask t;
     t.method = rating::Method::kRBR;
     t.base_key = std::string(bits, '1');
     t.cfg_key = std::string(bits, '1');
@@ -142,7 +142,7 @@ TEST_F(DistProtocolTest, SessionSpecRoundTripsBitExact) {
 }
 
 TEST_F(DistProtocolTest, TaskFrameRoundTripsBitExact) {
-  const core::RemoteMemberTask t = task(38);
+  const core::MemberTask t = task(38);
   const core::jsonl::JsonValue record =
       parse_frame(task_frame(9, 2, t));
   EXPECT_EQ(frame_op(record), "task");

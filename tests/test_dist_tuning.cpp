@@ -262,7 +262,7 @@ TEST_F(DistTuningTest, DeterministicCrasherFailsAfterMaxAttempts) {
   });
 
   ASSERT_TRUE(coordinator.wait_for_fleet(&error)) << error;
-  core::RemoteMemberTask task;
+  core::MemberTask task;
   task.base_key = search::o3_config(search::gcc33_o3_space()).key();
   task.cfg_key = task.base_key;
   task.prologue = true;

@@ -93,7 +93,7 @@ TEST_F(GuardedTest, GuardedHangHitsDeadlineAndEventuallyQuarantines) {
   EXPECT_EQ(events[0].kind, FaultKind::kHang);
   EXPECT_TRUE(events[0].gave_up);  // hangs are deterministic: no retry
   EXPECT_FALSE(events[0].quarantined);
-  EXPECT_GE(backend->breakdown().faulted, deadline * 0.99);
+  EXPECT_GE(backend->costs().faulted, deadline * 0.99);
   EXPECT_FALSE(quarantine.contains(exp_.key()));
 
   // Second failure crosses the threshold.
@@ -109,9 +109,9 @@ TEST_F(GuardedTest, GuardedHangHitsDeadlineAndEventuallyQuarantines) {
   EXPECT_EQ(quarantine.kind_of(exp_.key()), FaultKind::kHang);
 
   // Quarantined configs are rejected without running anything.
-  const double before = backend->accumulated_time();
+  const double before = backend->costs().accumulated;
   EXPECT_THROW(guard.invoke(exp_, inv), ConfigFailed);
-  EXPECT_EQ(backend->accumulated_time(), before);
+  EXPECT_EQ(backend->costs().accumulated, before);
   EXPECT_EQ(events.size(), 2u);
 }
 
@@ -140,8 +140,8 @@ TEST_F(GuardedTest, TransientCrashIsRetriedWithBackoffAndSucceeds) {
   EXPECT_FALSE(quarantine.contains(exp_.key()));
   // The partial crashed run was charged to the faulted phase, the
   // backoff wait before the re-measurement to the retry phase.
-  EXPECT_GT(backend->breakdown().faulted, 0.0);
-  EXPECT_GT(backend->breakdown().retry, 0.0);
+  EXPECT_GT(backend->costs().faulted, 0.0);
+  EXPECT_GT(backend->costs().retry, 0.0);
 }
 
 TEST_F(GuardedTest, RetriedTransientFaultDoesNotSkewTheMeasurement) {
@@ -268,7 +268,7 @@ TEST_F(GuardedTest, CheckpointCorruptionFailsRbrBatchGuarded) {
     EXPECT_EQ(e.kind(), FaultKind::kCheckpointCorrupt);
   }
   // The corrupt save was still paid for.
-  EXPECT_GT(backend->breakdown().checkpoint, 0.0);
+  EXPECT_GT(backend->costs().checkpoint, 0.0);
 }
 
 TEST_F(GuardedTest, GuardIsBitIdenticalToBareBackendWhenFaultFree) {
@@ -281,7 +281,7 @@ TEST_F(GuardedTest, GuardIsBitIdenticalToBareBackendWhenFaultFree) {
     const sim::Invocation& inv = trace_.invocations[i];
     EXPECT_EQ(bare->invoke(exp_, inv).time, guard.invoke(exp_, inv).time);
   }
-  EXPECT_EQ(bare->accumulated_time(), wrapped->accumulated_time());
+  EXPECT_EQ(bare->costs().accumulated, wrapped->costs().accumulated);
 }
 
 }  // namespace

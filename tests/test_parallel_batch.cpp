@@ -14,11 +14,24 @@
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "search/combined_elimination.hpp"
+#include "search/simple_searches.hpp"
 #include "support/check.hpp"
 #include "workloads/workload.hpp"
 
 namespace peak::core {
 namespace {
+
+std::string temp_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+std::uint64_t counter(const std::string& name) {
+  const auto snap = obs::MetricsRegistry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
 
 /// Acceptance tests of batched evaluation: for every search_threads
 /// N >= 1 the TuningOutcome (winner, ratings, event stream), the journal
@@ -60,23 +73,11 @@ protected:
     return injector;
   }
 
-  static std::string temp_path(const std::string& name) {
-    const std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-  }
-
   static std::string slurp(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
-  }
-
-  static std::uint64_t counter(const std::string& name) {
-    const auto snap = obs::MetricsRegistry::global().snapshot();
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
   }
 
   sim::MachineModel machine_;
@@ -229,38 +230,103 @@ TEST_F(ParallelBatchTest, ResumeTruncatedJournalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ParallelBatchTest, WarmCacheRerunIsBitIdenticalAndOver90PctHits) {
-  Setup s = setup("SWIM");
-  const std::string path = temp_path("peak_rating_cache.jsonl");
+/// One rating-cache identity scenario: a search over the 38-flag space
+/// (ExhaustiveSearch refuses spaces over 16 bits), tuning one benchmark
+/// on one machine with one run seed, from train trace 42.
+struct CacheScenario {
+  const char* search;  ///< IE, BE, CE, FS, RS or GC
+  const char* benchmark;
+  const char* machine;  ///< sparc2 | p4
+  std::uint64_t seed;
+};
 
-  RatingCache cold_cache(path);
-  DriverOptions options;
-  options.search_threads = 2;
-  options.rating_cache = &cold_cache;
-  const std::uint64_t stores_before = counter("search.cache.store");
-  const TuningOutcome cold = tune(s, options, rating::Method::kCBR);
-  EXPECT_GT(counter("search.cache.store"), stores_before);
-
-  // Without a cache the outcome must be the same (the cache may never
-  // perturb what is computed, only where it comes from).
-  DriverOptions plain;
-  plain.search_threads = 2;
-  EXPECT_EQ(tune(s, plain, rating::Method::kCBR), cold);
-
-  // Fresh cache object, same file: everything replays from disk.
-  RatingCache warm_cache(path);
-  EXPECT_EQ(warm_cache.size(), cold_cache.size());
-  options.rating_cache = &warm_cache;
-  const std::uint64_t hits_before = counter("search.cache.hit");
-  const std::uint64_t misses_before = counter("search.cache.miss");
-  EXPECT_EQ(tune(s, options, rating::Method::kCBR), cold);
-  const std::uint64_t hits = counter("search.cache.hit") - hits_before;
-  const std::uint64_t misses =
-      counter("search.cache.miss") - misses_before;
-  ASSERT_GT(hits, 0u);
-  EXPECT_GT(static_cast<double>(hits) / static_cast<double>(hits + misses),
-            0.9);
+std::string scenario_name(const CacheScenario& c) {
+  return std::string(c.search) + "_" + c.benchmark + "_" + c.machine +
+         "_s" + std::to_string(c.seed);
 }
+
+/// Test names carry the parameter's printout, so it must not be bytes.
+void PrintTo(const CacheScenario& c, std::ostream* os) {
+  *os << scenario_name(c);
+}
+
+/// A fresh algorithm per tune: RandomSearch advances its own generator.
+std::shared_ptr<search::SearchAlgorithm> make_search(
+    const std::string& name) {
+  if (name == "BE") return std::make_shared<search::BatchElimination>();
+  if (name == "CE") return std::make_shared<search::CombinedElimination>();
+  if (name == "FS")
+    return std::make_shared<search::FactorialScreening>(
+        search::FactorialScreeningOptions{.runs = 48});
+  if (name == "RS") return std::make_shared<search::RandomSearch>(40, 7);
+  if (name == "GC") return std::make_shared<search::GreedyConstruction>();
+  return nullptr;  // IE, the driver's default
+}
+
+class CacheIdentity : public ::testing::TestWithParam<CacheScenario> {};
+
+/// A cache hit may change where a rating comes from, never what it is:
+/// under every search, a cold and a warm cache reproduce the uncached
+/// tune_auto() bit for bit, and the warm rerun finds every rating. BE and
+/// CE end by validating (start, best). When `best` drops one flag, that
+/// pair repeats a round-0 probe, but with both EVALs memoized by then: a
+/// different task, so a different cache key.
+TEST_P(CacheIdentity, ColdAndWarmMatchUncached) {
+  const CacheScenario& c = GetParam();
+  const auto workload = workloads::make_workload(c.benchmark);
+  const sim::MachineModel machine = std::string(c.machine) == "p4"
+                                        ? sim::pentium4()
+                                        : sim::sparc2();
+  const sim::FlagEffectModel effects(search::gcc33_o3_space());
+  const workloads::Trace train =
+      workload->trace(workloads::DataSet::kTrain, 42);
+  const ProfileData profile = profile_workload(*workload, train, machine);
+  const auto tune_auto = [&](unsigned threads, RatingCache* cache) {
+    DriverOptions options;
+    options.seed = c.seed;
+    options.search_threads = threads;
+    options.search_algorithm = make_search(c.search);
+    options.rating_cache = cache;
+    TuningDriver driver(*workload, profile, train, machine, effects,
+                        options);
+    return driver.tune_auto();
+  };
+  for (unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("search_threads " + std::to_string(threads));
+    const TuningOutcome plain = tune_auto(threads, nullptr);
+
+    const std::string path = temp_path("peak_cache_identity_" +
+                                       scenario_name(c) + "_t" +
+                                       std::to_string(threads) + ".jsonl");
+    RatingCache cold_cache(path);
+    const std::uint64_t stores = counter("search.cache.store");
+    EXPECT_EQ(tune_auto(threads, &cold_cache), plain);
+    EXPECT_GT(counter("search.cache.store"), stores);
+
+    // Fresh cache object, same file: everything replays from disk.
+    RatingCache warm_cache(path);
+    EXPECT_EQ(warm_cache.size(), cold_cache.size());
+    const std::uint64_t hits = counter("search.cache.hit");
+    const std::uint64_t misses = counter("search.cache.miss");
+    EXPECT_EQ(tune_auto(threads, &warm_cache), plain);
+    EXPECT_GT(counter("search.cache.hit"), hits);
+    EXPECT_EQ(counter("search.cache.miss"), misses);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Searches, CacheIdentity,
+    ::testing::Values(CacheScenario{"IE", "SWIM", "sparc2", 1},
+                      CacheScenario{"BE", "SWIM", "sparc2", 1},
+                      CacheScenario{"CE", "SWIM", "sparc2", 1},
+                      CacheScenario{"FS", "SWIM", "sparc2", 1},
+                      CacheScenario{"RS", "SWIM", "sparc2", 1},
+                      CacheScenario{"GC", "SWIM", "sparc2", 1},
+                      CacheScenario{"CE", "WUPWISE", "sparc2", 1},
+                      CacheScenario{"CE", "APPLU", "p4", 2},
+                      CacheScenario{"BE", "APSI", "sparc2", 1},
+                      CacheScenario{"BE", "WUPWISE", "p4", 2}),
+    [](const auto& info) { return scenario_name(info.param); });
 
 TEST_F(ParallelBatchTest, CacheKeySeparatesSeedsAndMethods) {
   Setup s = setup("SWIM");

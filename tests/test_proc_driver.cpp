@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -254,15 +255,21 @@ TEST_F(ProcDriverTest, SigkilledWorkersMidRoundStillBitIdentical) {
   // with real SIGKILLs. Two stays under the per-task attempt budget, so
   // every lost task is requeued as transient and the outcome must be
   // bit-identical to the unharmed run.
+  // The sniper is detached and fulfils a future instead of being joined:
+  // to ThreadSanitizer, a thread not yet joined when the supervisor forks
+  // is a thread every forked worker leaks.
   std::atomic<bool> done{false};
   std::atomic<int> kills{0};
-  std::thread sniper([&] {
+  std::promise<void> stopped;
+  std::future<void> sniper = stopped.get_future();
+  std::thread([&done, &kills, stopped = std::move(stopped)]() mutable {
     while (!done.load() && kills.load() < 2) {
       const std::vector<pid_t> pids = proc::WorkerTable::global().live_pids();
       if (!pids.empty() && ::kill(pids.front(), SIGKILL) == 0) ++kills;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-  });
+    stopped.set_value();
+  }).detach();
 
   DriverOptions isolated;
   isolated.isolate_workers = 4;
@@ -271,7 +278,7 @@ TEST_F(ProcDriverTest, SigkilledWorkersMidRoundStillBitIdentical) {
   const std::uint64_t failed = counter("proc.tasks.failed");
   const TuningOutcome outcome = tune(s, isolated, rating::Method::kRBR);
   done = true;
-  sniper.join();
+  sniper.get();
 
   EXPECT_EQ(outcome, baseline);
   // A kill need not cost a respawn: a worker shot after its last result

@@ -122,7 +122,7 @@ TEST_P(DistHostileFrames, WorkerIsDroppedAndTheRoundEndsOnGoodOutcomes) {
 
   // Each worker is dealt three tasks, so the hostile one holds one.
   const std::vector<proc::TaskOutcome> outcomes =
-      coordinator.run_round(std::vector<core::RemoteMemberTask>(kTasks));
+      coordinator.run_round(std::vector<core::MemberTask>(kTasks));
   ASSERT_EQ(outcomes.size(), kTasks);
   std::size_t protocol_failures = 0;
   for (std::size_t i = 0; i < kTasks; ++i) {
@@ -212,7 +212,7 @@ TEST(DistFleetLoss, DialedFleetThatDiesFailsAtOnce) {
 
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(
-      coordinator.run_round(std::vector<core::RemoteMemberTask>(2)),
+      coordinator.run_round(std::vector<core::MemberTask>(2)),
       FleetLost);
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             policy.connect_timeout / 10);
@@ -231,7 +231,7 @@ TEST(DistFleetLoss, ListeningFleetWaitsConnectTimeoutForAReplacement) {
 
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(
-      coordinator.run_round(std::vector<core::RemoteMemberTask>(2)),
+      coordinator.run_round(std::vector<core::MemberTask>(2)),
       FleetLost);
   EXPECT_GE(std::chrono::steady_clock::now() - start, policy.connect_timeout);
   EXPECT_EQ(coordinator.stats().workers_lost, 1u);

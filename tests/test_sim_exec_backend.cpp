@@ -134,16 +134,16 @@ TEST_F(BackendTest, BasicRbrIsBiasedByCacheWarmth) {
 TEST_F(BackendTest, AccumulatedTimeGrowsWithWork) {
   auto backend = make_backend();
   const search::FlagConfig o3 = search::o3_config(effects_.space());
-  EXPECT_DOUBLE_EQ(backend->accumulated_time(), 0.0);
+  EXPECT_DOUBLE_EQ(backend->costs().accumulated, 0.0);
   backend->invoke(o3, trace_.invocations[0]);
-  const double after_one = backend->accumulated_time();
+  const double after_one = backend->costs().accumulated;
   EXPECT_GT(after_one, 0.0);
   backend->invoke_rbr_pair(o3, o3, trace_.invocations[0], RbrOptions{true});
   // The RBR pair costs much more than a plain invocation (precondition +
   // two timed runs + checkpoint traffic).
-  EXPECT_GT(backend->accumulated_time() - after_one, 2.0 * after_one);
-  backend->reset_accumulated_time();
-  EXPECT_DOUBLE_EQ(backend->accumulated_time(), 0.0);
+  EXPECT_GT(backend->costs().accumulated - after_one, 2.0 * after_one);
+  backend->reset_costs();
+  EXPECT_DOUBLE_EQ(backend->costs().accumulated, 0.0);
 }
 
 TEST_F(BackendTest, EnginesProduceBitIdenticalTimes) {
@@ -172,7 +172,7 @@ TEST_F(BackendTest, EnginesProduceBitIdenticalTimes) {
       EXPECT_EQ(*a.counters, *b.counters);
     }
   }
-  EXPECT_EQ(vm_backend->accumulated_time(), tree_backend->accumulated_time());
+  EXPECT_EQ(vm_backend->costs().accumulated, tree_backend->costs().accumulated);
 }
 
 TEST_F(BackendTest, RepeatedInvocationsShareCountersStorage) {

@@ -623,21 +623,7 @@ int cmd_tune(const Args& args) {
 
   core::MethodRun run;
   try {
-    if (args.method) {
-      const workloads::Trace train =
-          workload->trace(workloads::DataSet::kTrain, 1);
-      core::BenchmarkResult result = peak.run_benchmark(
-          *workload, /*all_methods=*/true, {*args.method});
-      const core::MethodRun* found =
-          result.find(*args.method, workloads::DataSet::kTrain);
-      if (!found) {
-        std::fprintf(stderr, "method did not run\n");
-        return 1;
-      }
-      run = *found;
-    } else {
-      run = peak.tune_with_consultant(*workload);
-    }
+    run = peak.tune(*workload, args.method);
   } catch (const support::ShutdownRequested& e) {
     telemetry.phase("interrupted");
     std::fprintf(stderr, "\ninterrupted by signal %d; %s\n", e.signal(),
