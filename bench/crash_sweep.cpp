@@ -8,8 +8,7 @@
 #include <fstream>
 #include <memory>
 
-#include "core/profile.hpp"
-#include "core/tuning_driver.hpp"
+#include "core/session.hpp"
 #include "fault/injector.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -21,36 +20,19 @@ namespace {
 
 constexpr const char* kBenchmarks[] = {"SWIM", "ART"};
 
-struct TuneSetup {
-  std::unique_ptr<workloads::Workload> workload;
-  workloads::Trace train;
-  core::ProfileData profile;
-  sim::MachineModel machine;
-  sim::FlagEffectModel effects{search::gcc33_o3_space()};
-};
-
-TuneSetup make_setup(const std::string& benchmark) {
-  TuneSetup s;
-  s.machine = sim::sparc2();
-  s.workload = workloads::make_workload(benchmark);
-  s.train = s.workload->trace(workloads::DataSet::kTrain, 42);
-  s.profile = core::profile_workload(*s.workload, s.train, s.machine);
-  return s;
-}
-
 struct TuneRun {
   core::TuningOutcome outcome;
   std::size_t quarantined = 0;
 };
 
-TuneRun tune_once(const TuneSetup& s, const fault::FaultInjector* injector,
+TuneRun tune_once(const core::Session& s,
+                  const fault::FaultInjector* injector,
                   unsigned search_threads, unsigned isolate_workers) {
   core::DriverOptions options;
   options.fault.injector = injector;
   options.search_threads = search_threads;
   options.isolate_workers = isolate_workers;
-  core::TuningDriver driver(*s.workload, s.profile, s.train, s.machine,
-                            s.effects, options);
+  core::TuningDriver driver = s.driver(options);
   TuneRun run;
   run.outcome = driver.tune(rating::Method::kRBR);
   run.quarantined = driver.quarantine().size();
@@ -62,19 +44,19 @@ TuneRun tune_once(const TuneSetup& s, const fault::FaultInjector* injector,
 /// invocations: the worker rating it abort()s when one fires, and the
 /// respawned attempt clears (fire() returns kNone past attempt 0), so the
 /// round completes with nothing charged and nothing quarantined.
-fault::FaultInjector transient_injector(const TuneSetup& s) {
+fault::FaultInjector transient_injector(const core::Session& s) {
   fault::FaultInjector injector;
-  search::FlagConfig probed = search::o3_config(s.effects.space());
+  search::FlagConfig probed = search::o3_config(s.effects().space());
   probed.set(0, false);
   // RBR batches measurement pairs over a method-chosen subset of the
   // trace, so spread the scripted sites widely to guarantee a hit.
-  const std::size_t n = s.train.invocations.size();
+  const std::size_t n = s.tune_trace().invocations.size();
   std::vector<std::size_t> indices;
   for (std::size_t k = 0; k < 16; ++k) indices.push_back(k * n / 16);
   for (std::size_t index : indices) {
     fault::ScriptedFault sf;
     sf.config_key = probed.key();
-    sf.invocation_id = s.train.invocations[index].id;
+    sf.invocation_id = s.tune_trace().invocations[index].id;
     sf.kind = fault::FaultKind::kHardCrash;
     sf.sticky = false;
     injector.script(sf);
@@ -85,7 +67,7 @@ fault::FaultInjector transient_injector(const TuneSetup& s) {
 /// Stochastic model where every faulty config is a deterministic hard
 /// crasher: it abort()s on every attempt, so the supervisor exhausts its
 /// retries and quarantines the config — and an unisolated run simply dies.
-fault::FaultInjector sticky_injector(const TuneSetup& s) {
+fault::FaultInjector sticky_injector(const core::Session& s) {
   fault::FaultModel model;
   model.fault_prob = 0.08;
   model.crash_weight = 0.0;
@@ -97,7 +79,7 @@ fault::FaultInjector sticky_injector(const TuneSetup& s) {
   model.deterministic_fraction = 1.0;
   model.seed = 7;
   fault::FaultInjector injector(model);
-  injector.exempt(search::o3_config(s.effects.space()));
+  injector.exempt(search::o3_config(s.effects().space()));
   return injector;
 }
 
@@ -108,7 +90,7 @@ std::uint64_t respawned_counter() {
 /// Run the sticky model in-process (no isolation) inside a forked child:
 /// the first firing hard crash abort()s the child, which is the point —
 /// this arm documents the completion rate isolation exists to fix.
-bool unisolated_survives(const TuneSetup& s,
+bool unisolated_survives(const core::Session& s,
                          const fault::FaultInjector& injector) {
   const pid_t pid = ::fork();
   if (pid == 0) {
@@ -137,7 +119,12 @@ CrashSweepResult run_crash_sweep(std::size_t workers) {
   std::size_t unisolated_arms = 0, unisolated_done = 0;
 
   for (const char* benchmark : kBenchmarks) {
-    const TuneSetup s = make_setup(benchmark);
+    // Train trace 42 and effect seed 0x9eac on sparc2: the scenario the
+    // committed baseline was measured in.
+    const core::Session s(core::SessionSpec{.benchmark = benchmark,
+                                            .machine = "sparc2",
+                                            .trace_seed = 42,
+                                            .effect_seed = 0x9eac});
     // The crash-free comparator: same guarded-rating wiring (an injector
     // whose faults never fire), in-process --search-threads N. Identity
     // against it proves both contracts at once — survived crashes leave

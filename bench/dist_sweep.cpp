@@ -6,9 +6,7 @@
 #include <memory>
 #include <thread>
 
-#include "core/profile.hpp"
-#include "core/remote_eval.hpp"
-#include "core/tuning_driver.hpp"
+#include "core/session.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/worker_agent.hpp"
 #include "obs/export.hpp"
@@ -23,28 +21,9 @@ using clock_type = std::chrono::steady_clock;
 constexpr const char* kBenchmark = "SWIM";
 constexpr unsigned kBaselineThreads = 2;
 
-struct TuneSetup {
-  std::unique_ptr<workloads::Workload> workload;
-  workloads::Trace train;
-  core::ProfileData profile;
-  sim::MachineModel machine;
-  sim::FlagEffectModel effects{search::gcc33_o3_space()};
-};
-
-TuneSetup make_setup(const std::string& benchmark) {
-  TuneSetup s;
-  s.machine = sim::sparc2();
-  s.workload = workloads::make_workload(benchmark);
-  s.train = s.workload->trace(workloads::DataSet::kTrain, 42);
-  s.profile = core::profile_workload(*s.workload, s.train, s.machine);
-  return s;
-}
-
-core::TuningOutcome tune_once(const TuneSetup& s,
+core::TuningOutcome tune_once(const core::Session& s,
                               const core::DriverOptions& options) {
-  core::TuningDriver driver(*s.workload, s.profile, s.train, s.machine,
-                            s.effects, options);
-  return driver.tune(rating::Method::kCBR);
+  return s.driver(options).tune(rating::Method::kCBR);
 }
 
 /// A loopback fleet of in-process worker agents dialing the coordinator;
@@ -86,7 +65,7 @@ struct Fleet {
 /// first worker can be rigged to drop its socket after `max_tasks_first`
 /// completed tasks, and `late_joiner` dials one extra agent in after the
 /// fleet has formed (counted by the coordinator as a respawn).
-DistArm run_arm(const TuneSetup& s, const core::TuningOutcome& baseline,
+DistArm run_arm(const core::Session& s, const core::TuningOutcome& baseline,
                 const std::string& mode, unsigned workers,
                 std::uint64_t max_tasks_first, bool late_joiner) {
   DistArm arm;
@@ -95,12 +74,10 @@ DistArm run_arm(const TuneSetup& s, const core::TuningOutcome& baseline,
 
   core::DriverOptions options;
   options.search_threads = kBaselineThreads;
-  const core::SessionSpec spec =
-      core::make_session_spec(kBenchmark, "sparc2", options);
   dist::DistPolicy policy;
   policy.min_workers = workers;
   policy.update_worker_table = false;
-  dist::Coordinator coordinator(spec, policy);
+  dist::Coordinator coordinator(s.spec(), policy);
   std::string error;
   if (!coordinator.listen(0, /*loopback_only=*/true, &error)) {
     std::fprintf(stderr, "dist sweep: listen failed: %s\n", error.c_str());
@@ -158,7 +135,12 @@ DistSweepResult run_dist_sweep() {
   result.benchmark = kBenchmark;
   result.baseline_threads = kBaselineThreads;
 
-  const TuneSetup s = make_setup(kBenchmark);
+  // Train trace 42 and effect seed 0x9eac on sparc2: the scenario the
+  // committed baseline was measured in.
+  const core::Session s(core::SessionSpec{.benchmark = kBenchmark,
+                                          .machine = "sparc2",
+                                          .trace_seed = 42,
+                                          .effect_seed = 0x9eac});
   core::DriverOptions threaded;
   threaded.search_threads = kBaselineThreads;
   const clock_type::time_point t0 = clock_type::now();

@@ -29,6 +29,9 @@ struct ComponentModelOptions {
   /// busiest block are treated as constant-overhead (the paper's "small
   /// workload in conditional statements" simplification).
   double small_block_fraction = 0.0;
+
+  friend bool operator==(const ComponentModelOptions&,
+                         const ComponentModelOptions&) = default;
 };
 
 struct Component {

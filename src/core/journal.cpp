@@ -22,8 +22,10 @@ void TuningJournal::write_line(const std::string& line) {
   out_.flush();
 }
 
-void TuningJournal::start_segment(const std::string& method) {
-  write_line("{\"type\":\"start\",\"method\":" + quote(method) + "}");
+void TuningJournal::start_segment(const std::string& method,
+                                  const std::string& fingerprint) {
+  write_line("{\"type\":\"start\",\"method\":" + quote(method) +
+             ",\"fp\":" + quote(fingerprint) + "}");
 }
 
 void TuningJournal::record_eval(const std::string& base_key,
@@ -67,6 +69,7 @@ std::vector<JournalSegment> TuningJournal::load(const std::string& path,
       if (type == "start") {
         JournalSegment seg;
         seg.method = record.at("method").as_string();
+        if (record.has("fp")) seg.fingerprint = record.at("fp").as_string();
         segments.push_back(std::move(seg));
       } else if (type == "eval") {
         PEAK_CHECK(!segments.empty(), "journal: eval before any start");

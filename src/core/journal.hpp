@@ -45,9 +45,12 @@ struct JournalEval {
   RatingDelta delta;
 };
 
-/// The evaluations of one tune(method) call, in order.
+/// The evaluations of one tune(method) call, in order, and the run
+/// fingerprint of its evaluator (RatingCache::Fingerprint; "" when the
+/// start record has none), which a resume must match.
 struct JournalSegment {
   std::string method;
+  std::string fingerprint;
   std::vector<JournalEval> evals;
 };
 
@@ -60,7 +63,8 @@ public:
   explicit TuningJournal(std::string path);
 
   /// A tune(method) call is starting a fresh (non-replayed) segment.
-  void start_segment(const std::string& method);
+  void start_segment(const std::string& method,
+                     const std::string& fingerprint);
 
   /// Append one evaluation record. `prologue` (may be null) is the delta
   /// of the batch's base rating, carried by the batch's first record.

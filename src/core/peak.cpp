@@ -21,60 +21,59 @@ double BenchmarkResult::normalized_tuning_time(rating::Method m,
   return run->cost.simulated_time / whl->cost.simulated_time;
 }
 
-Peak::Peak(const sim::MachineModel& machine, PeakOptions options)
-    : machine_(machine),
-      options_(options),
-      effects_(search::gcc33_o3_space(), options.seed ^ 0x9eac) {}
+SessionSpec session_spec(const PeakOptions& options,
+                         const std::string& benchmark,
+                         const std::string& machine) {
+  return {.benchmark = benchmark,
+          .machine = machine,
+          .trace_seed = support::hash_combine(
+              options.seed, support::stable_hash(benchmark)),
+          .effect_seed = options.seed ^ 0x9eac,
+          .profile = options.profile,
+          .seed = options.driver.seed,
+          .window = options.driver.window,
+          .mbr = options.driver.mbr,
+          .improved_rbr = options.driver.improved_rbr,
+          .rbr_batch_pairs = options.driver.rbr_batch_pairs};
+}
 
-MethodRun Peak::run_one(const workloads::Workload& workload,
-                        const ProfileData& profile,
-                        const workloads::Trace& tune_trace,
-                        const workloads::Trace& ref_trace,
-                        workloads::DataSet tuned_on,
-                        std::optional<rating::Method> method,
-                        double ref_o3_time) {
-  TuningDriver driver(workload, profile, tune_trace, machine_, effects_,
-                      options_.driver);
-  const TuningOutcome outcome =
-      method ? driver.tune(*method) : driver.tune_auto();
+namespace {
 
+/// One experiment's row: the outcome, and its winner measured on ref.
+MethodRun method_run(const Session& session, const TuningOutcome& outcome,
+                     workloads::DataSet tuned_on) {
   MethodRun run;
   run.method = outcome.method;
   run.tuned_on = tuned_on;
   run.best_config = outcome.best_config;
   run.cost = outcome.cost;
   run.exhausted_fraction = outcome.exhausted_fraction;
-
-  const double tuned_time = expected_trace_time(
-      workload, ref_trace, machine_, effects_, outcome.best_config);
-  PEAK_CHECK(tuned_time > 0.0, "degenerate ref evaluation");
-  run.ref_improvement_pct = (ref_o3_time / tuned_time - 1.0) * 100.0;
+  run.ref_improvement_pct = session.ref_improvement_pct(outcome.best_config);
   return run;
 }
+
+}  // namespace
+
+// The effect model does not depend on the section, so any name will do.
+Peak::Peak(const sim::MachineModel& machine, PeakOptions options)
+    : machine_(machine),
+      options_(options),
+      effects_(search::gcc33_o3_space(),
+               session_spec(options, "", machine.name).effect_seed) {}
 
 BenchmarkResult Peak::run_benchmark(const workloads::Workload& workload,
                                     bool all_methods,
                                     std::vector<rating::Method> extra_methods) {
-  const std::uint64_t trace_seed =
-      support::hash_combine(options_.seed,
-                            support::stable_hash(workload.benchmark()));
-  const workloads::Trace train =
-      workload.trace(workloads::DataSet::kTrain, trace_seed);
-  const workloads::Trace ref =
-      workload.trace(workloads::DataSet::kRef, trace_seed);
-
-  const ProfileData profile =
-      profile_workload(workload, train, machine_, options_.profile);
+  const Session session(
+      session_spec(options_, workload.benchmark(), machine_.name), &workload,
+      machine_);
+  const ProfileData& profile = session.profile();
 
   BenchmarkResult result;
   result.benchmark = workload.benchmark();
   result.ts_name = workload.ts_name();
   result.decision = profile.decision;
   result.chosen = profile.decision.initial();
-
-  const search::FlagConfig o3 = search::o3_config(effects_.space());
-  const double ref_o3_time =
-      expected_trace_time(workload, ref, machine_, effects_, o3);
 
   std::vector<rating::Method> methods;
   if (all_methods) {
@@ -89,17 +88,19 @@ BenchmarkResult Peak::run_benchmark(const workloads::Workload& workload,
       methods.push_back(m);
 
   for (rating::Method m : methods) {
-    result.runs.push_back(run_one(workload, profile, train, ref,
-                                  workloads::DataSet::kTrain, m,
-                                  ref_o3_time));
+    result.runs.push_back(method_run(
+        session, session.driver(options_.driver).tune(m),
+        workloads::DataSet::kTrain));
     if (all_methods) {
       // The right bars of Figure 7: tuning with the production (ref)
       // dataset, for comparison with the honest train-tuned result.
+      const workloads::Trace& ref = session.ref_trace();
       const ProfileData ref_profile =
           profile_workload(workload, ref, machine_, options_.profile);
-      result.runs.push_back(run_one(workload, ref_profile, ref, ref,
-                                    workloads::DataSet::kRef, m,
-                                    ref_o3_time));
+      TuningDriver driver(workload, ref_profile, ref, session.machine(),
+                          session.effects(), options_.driver);
+      result.runs.push_back(
+          method_run(session, driver.tune(m), workloads::DataSet::kRef));
     }
   }
   return result;
@@ -107,19 +108,12 @@ BenchmarkResult Peak::run_benchmark(const workloads::Workload& workload,
 
 MethodRun Peak::tune(const workloads::Workload& workload,
                      std::optional<rating::Method> method) {
-  const std::uint64_t trace_seed =
-      support::hash_combine(options_.seed,
-                            support::stable_hash(workload.benchmark()));
-  const workloads::Trace train =
-      workload.trace(workloads::DataSet::kTrain, trace_seed);
-  const workloads::Trace ref =
-      workload.trace(workloads::DataSet::kRef, trace_seed);
-  const ProfileData profile =
-      profile_workload(workload, train, machine_, options_.profile);
-  const double ref_o3 = expected_trace_time(
-      workload, ref, machine_, effects_, search::o3_config(effects_.space()));
-  return run_one(workload, profile, train, ref, workloads::DataSet::kTrain,
-                 method, ref_o3);
+  const Session session(
+      session_spec(options_, workload.benchmark(), machine_.name), &workload,
+      machine_);
+  TuningDriver driver = session.driver(options_.driver);
+  return method_run(session, method ? driver.tune(*method) : driver.tune_auto(),
+                    workloads::DataSet::kTrain);
 }
 
 }  // namespace peak::core

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/profile.hpp"
+#include "core/session.hpp"
 #include "core/tuning_driver.hpp"
 #include "sim/flag_effects.hpp"
 #include "workloads/workload.hpp"
@@ -26,6 +27,13 @@ struct PeakOptions {
   ProfileOptions profile{};
   std::uint64_t seed = 1;
 };
+
+/// The scenario Peak tunes `benchmark` in on `machine`: traces seeded by
+/// `options.seed` and the section's name, the effect model by
+/// `options.seed` alone — the only place either seed is derived.
+[[nodiscard]] SessionSpec session_spec(const PeakOptions& options,
+                                       const std::string& benchmark,
+                                       const std::string& machine);
 
 /// One (rating method × tuning dataset) experiment for a benchmark.
 struct MethodRun {
@@ -88,15 +96,6 @@ public:
   }
 
 private:
-  /// One tuning session: `method` fixed, or none for tune_auto().
-  MethodRun run_one(const workloads::Workload& workload,
-                    const ProfileData& profile,
-                    const workloads::Trace& tune_trace,
-                    const workloads::Trace& ref_trace,
-                    workloads::DataSet tuned_on,
-                    std::optional<rating::Method> method,
-                    double ref_o3_time);
-
   /// Stored by value: callers routinely pass temporaries
   /// (`Peak(sim::sparc2())`), and every profile/tune call reads the
   /// machine long after that full expression ends.

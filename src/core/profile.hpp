@@ -42,6 +42,9 @@ struct ProfileOptions {
   /// see — fail this gate, which is how the integer benchmarks end up on
   /// RBR in Table 1.
   double mbr_profile_var_threshold = 0.005;
+
+  friend bool operator==(const ProfileOptions&,
+                         const ProfileOptions&) = default;
 };
 
 struct ProfileData {

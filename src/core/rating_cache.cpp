@@ -91,10 +91,14 @@ std::string RatingCache::Fingerprint::key(const MemberTask& task) const {
     k.mix_string(key);
     k.mix_double(eval);
   }
+  return k.hex();
+}
+
+std::string RatingCache::Fingerprint::hex() const {
   char buf[33];
   std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(k.h1_),
-                static_cast<unsigned long long>(k.h2_));
+                static_cast<unsigned long long>(h1_),
+                static_cast<unsigned long long>(h2_));
   return std::string(buf);
 }
 

@@ -57,6 +57,8 @@ public:
     void mix_string(std::string_view s);
     /// Key of one member's rating, as 32 hex digits.
     [[nodiscard]] std::string key(const MemberTask& task) const;
+    /// The digest itself, as 32 hex digits.
+    [[nodiscard]] std::string hex() const;
 
   private:
     std::uint64_t h1_;

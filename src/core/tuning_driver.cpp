@@ -16,7 +16,6 @@
 #include "core/jsonl.hpp"
 #include "core/rating_cache.hpp"
 #include "core/rating_delta.hpp"
-#include "core/remote_eval.hpp"
 #include "dist/coordinator.hpp"
 #include "obs/attribution.hpp"
 #include "obs/event_ring.hpp"
@@ -100,11 +99,20 @@ public:
     // The persistent rating cache is unsound under a fault injector:
     // injector verdicts depend on attempt/quarantine state that is not
     // part of the key.
-    if (driver.options_.rating_cache != nullptr &&
-        driver.options_.fault.injector == nullptr) {
+    if (driver.options_.fault.injector == nullptr)
       cache_ = driver.options_.rating_cache;
-      init_cache_fingerprint();
-    }
+    if (cache_ == nullptr && journal_ == nullptr) return;
+    init_fingerprint();
+    // A segment replays only into the run that wrote it: same method,
+    // same run fingerprint.
+    const std::string fp = fingerprint_.hex();
+    if (replay_ != nullptr &&
+        (replay_->method != rating::to_string(method) ||
+         replay_->fingerprint != fp))
+      throw JournalError("journal " + journal_->path() + " was written by " +
+                         "another run (method, scenario or options differ)");
+    if (replay_ == nullptr && journal_ != nullptr)
+      journal_->start_segment(rating::to_string(method), fp);
   }
 
   /// A search that asks for one config at a time gets a singleton batch,
@@ -672,9 +680,10 @@ private:
                      const search::FlagConfig& cfg) {
     static obs::Counter& replayed = obs::counter("journal.replayed");
     const JournalEval& e = replay_->evals[replay_pos_++];
-    PEAK_CHECK(e.base_key == base.key() && e.cfg_key == cfg.key(),
-               "journal does not match this tuning run (stale journal, or "
-               "different seed/options)");
+    if (e.base_key != base.key() || e.cfg_key != cfg.key())
+      throw JournalError("journal " + journal_->path() +
+                         " does not match this tuning run (stale journal, "
+                         "or different seed/options)");
     if (e.prologue) merge(*e.prologue);
     merge(e.delta);
     ++evaluations_;
@@ -686,7 +695,7 @@ private:
   void load_cached(MemberState& m) {
     if (cache_ == nullptr) return;
     const auto t0 = std::chrono::steady_clock::now();
-    m.cache_key = cache_fingerprint_.key(m.task);
+    m.cache_key = fingerprint_.key(m.task);
     if (std::optional<RatingDelta> hit = cache_->lookup(m.cache_key)) {
       m.from_cache = true;
       m.delta = std::move(*hit);
@@ -810,9 +819,10 @@ private:
 
   /// Everything a batched rating's outcome is a function of, besides its
   /// MemberTask: machine, section, trace content, run seed, rating
-  /// parameters, and the effect model's behaviour.
-  void init_cache_fingerprint() {
-    RatingCache::Fingerprint& f = cache_fingerprint_;
+  /// parameters, and the effect model's behaviour. Fault-injector
+  /// settings are not part of it.
+  void init_fingerprint() {
+    RatingCache::Fingerprint& f = fingerprint_;
     f.mix_string(driver_.machine_.name);
     f.mix_string(driver_.workload_.full_name());
     f.mix(driver_.options_.seed);
@@ -891,8 +901,9 @@ private:
   std::unique_ptr<support::ThreadPool> pool_;
   /// Persistent rating cache; null unless configured without an injector.
   RatingCache* cache_ = nullptr;
-  /// Run fingerprint every cache key starts from.
-  RatingCache::Fingerprint cache_fingerprint_;
+  /// Run fingerprint: every cache key starts from it, and every journal
+  /// segment records it. Computed only when a cache or journal is open.
+  RatingCache::Fingerprint fingerprint_;
   /// Wall spent on cache lookups/stores, charged as the "cache" phase.
   double cache_wall_us_ = 0.0;
   /// Wall burned by worker-process deaths (isolate_workers): attempts
@@ -980,16 +991,11 @@ TuningOutcome TuningDriver::tune(rating::Method method) {
   prepare_journal();
   // On resume, each tune() call consumes one recorded segment: its evals
   // replay instead of measuring, and the journal's existing "start" line
-  // stands in for the one a fresh segment would write.
-  const JournalSegment* replay = nullptr;
-  if (replay_index_ < replay_segments_.size()) {
-    PEAK_CHECK(
-        replay_segments_[replay_index_].method == rating::to_string(method),
-        "journal method sequence does not match this run");
-    replay = &replay_segments_[replay_index_++];
-  } else if (journal_ != nullptr) {
-    journal_->start_segment(rating::to_string(method));
-  }
+  // stands in for the one a fresh segment would write (the evaluator
+  // checks the segment, or writes that line).
+  const JournalSegment* replay = replay_index_ < replay_segments_.size()
+                                     ? &replay_segments_[replay_index_++]
+                                     : nullptr;
   // Attribution path for every cost this tune() charges: the ledger's
   // machine → benchmark → section → method hierarchy. Thread-local, so
   // parallel section tuning attributes each worker's costs correctly.

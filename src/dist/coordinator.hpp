@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "core/remote_eval.hpp"
+#include "core/session.hpp"
 #include "proc/protocol.hpp"
 #include "proc/task_scheduler.hpp"
 #include "support/check.hpp"

@@ -55,11 +55,21 @@ std::string hello_frame(const std::string& name) {
 }
 
 std::string serialize_session_spec(const core::SessionSpec& spec) {
+  const core::ProfileOptions& prof = spec.profile;
   std::ostringstream out;
   out << "{\"bench\":" << jsonl::quote(spec.benchmark)
       << ",\"machine\":" << jsonl::quote(spec.machine)
       << ",\"dataset\":" << jsonl::quote(spec.dataset)
-      << ",\"trace_seed\":" << spec.trace_seed << ",\"seed\":" << spec.seed
+      << ",\"trace_seed\":" << spec.trace_seed
+      << ",\"effect_seed\":" << spec.effect_seed
+      << ",\"prof\":{\"det\":" << prof.detailed_invocations
+      << ",\"scan\":" << prof.context_scan_limit
+      << ",\"maxc\":" << prof.components.max_components << ",\"aff\":\""
+      << jsonl::hex_double(prof.components.affine_tolerance)
+      << "\",\"small\":\""
+      << jsonl::hex_double(prof.components.small_block_fraction)
+      << "\",\"mvar\":\"" << jsonl::hex_double(prof.mbr_profile_var_threshold)
+      << "\"},\"seed\":" << spec.seed
       << ",\"win\":{\"min\":" << spec.window.min_samples
       << ",\"max\":" << spec.window.max_samples << ",\"cv\":\""
       << jsonl::hex_double(spec.window.cv_threshold) << "\",\"orule\":\""
@@ -141,6 +151,18 @@ core::SessionSpec parse_session_spec(const jsonl::JsonValue& spec) {
   out.machine = spec.at("machine").as_string();
   out.dataset = spec.at("dataset").as_string();
   out.trace_seed = spec.at("trace_seed").as_u64();
+  out.effect_seed = spec.at("effect_seed").as_u64();
+  const auto& prof = spec.at("prof");
+  out.profile.detailed_invocations =
+      static_cast<std::size_t>(prof.at("det").as_u64());
+  out.profile.context_scan_limit =
+      static_cast<std::size_t>(prof.at("scan").as_u64());
+  out.profile.components.max_components =
+      static_cast<std::size_t>(prof.at("maxc").as_u64());
+  out.profile.components.affine_tolerance = prof.at("aff").as_hex_double();
+  out.profile.components.small_block_fraction =
+      prof.at("small").as_hex_double();
+  out.profile.mbr_profile_var_threshold = prof.at("mvar").as_hex_double();
   out.seed = spec.at("seed").as_u64();
   const auto& win = spec.at("win");
   out.window.min_samples =

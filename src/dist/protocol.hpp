@@ -12,8 +12,8 @@
 ///
 /// Conversation (docs/INTERNALS.md §13):
 ///
-///   worker → coord   {"op":"hello","version":1,"name":…}
-///   coord  → worker  {"op":"session","version":1,"spec":{…}}
+///   worker → coord   {"op":"hello","version":2,"name":…}
+///   coord  → worker  {"op":"session","version":2,"spec":{…}}
 ///                    or {"op":"refuse","reason":…} then close
 ///   worker → coord   {"op":"ready"}           (scenario rebuilt, profiled)
 ///   coord  → worker  {"op":"task","id":N,"attempt":A,…}
@@ -30,13 +30,14 @@
 #include <string>
 
 #include "core/jsonl.hpp"
-#include "core/remote_eval.hpp"
+#include "core/session.hpp"
 
 namespace peak::dist {
 
 /// Bump on any frame-shape or SessionSpec change. Handshakes between
-/// different versions are refused, never guessed at.
-constexpr std::uint64_t kDistProtocolVersion = 1;
+/// different versions are refused, never guessed at. Version 2: the spec
+/// carries the effect seed and the profile options.
+constexpr std::uint64_t kDistProtocolVersion = 2;
 
 // ---- frame builders (payloads; wrap with proc::write_frame) ----------
 

@@ -11,7 +11,7 @@
 #include <mutex>
 #include <thread>
 
-#include "core/remote_eval.hpp"
+#include "core/session.hpp"
 #include "dist/protocol.hpp"
 #include "proc/protocol.hpp"
 #include "support/check.hpp"
@@ -88,7 +88,7 @@ int WorkerAgent::serve(int fd) {
       return 1;
     }
     proc::FrameReader reader;
-    std::unique_ptr<core::RemoteRatingHost> host;
+    std::unique_ptr<core::Session> session;
     std::uint64_t tasks_done = 0;
     bool abrupt = false;
     bool done = false;
@@ -117,8 +117,10 @@ int WorkerAgent::serve(int fd) {
                        "coordinator protocol version " +
                            std::to_string(version) + " != " +
                            std::to_string(kDistProtocolVersion));
-            host = std::make_unique<core::RemoteRatingHost>(
+            session = std::make_unique<core::Session>(
                 parse_session_spec(record.at("spec")));
+            // Ready means profiled, under the handshake's deadline.
+            (void)session->profile();
           } catch (const support::CheckError& e) {
             std::fprintf(stderr, "peak worker: cannot serve session: %s\n",
                          e.what());
@@ -131,7 +133,7 @@ int WorkerAgent::serve(int fd) {
             done = true;
           }
         } else if (op == "task") {
-          if (host == nullptr) {
+          if (session == nullptr) {
             std::fprintf(stderr, "peak worker: task before session\n");
             status = 1;
             done = true;
@@ -143,7 +145,7 @@ int WorkerAgent::serve(int fd) {
           try {
             id = record.at("id").as_u64();
             const TaskFrame task = parse_task_frame(record);
-            result = host->rate(task.task);
+            result = session->rate(task.task);
           } catch (const std::exception& e) {
             error = e.what();
           }

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/jsonl.hpp"
-#include "core/remote_eval.hpp"
+#include "core/session.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
+#include "dist/worker_agent.hpp"
 #include "proc/protocol.hpp"
 #include "support/tcp.hpp"
 
@@ -119,6 +122,13 @@ TEST_F(DistProtocolTest, SessionSpecRoundTripsBitExact) {
   core::SessionSpec s = spec();
   s.dataset = "ref";
   s.trace_seed = 17;
+  s.effect_seed = 0x9eac ^ 3;
+  s.profile.detailed_invocations = 24;
+  s.profile.context_scan_limit = 1500;
+  s.profile.components.max_components = 5;
+  s.profile.components.affine_tolerance = 1e-11;
+  s.profile.components.small_block_fraction = 0.1;  // not exactly representable
+  s.profile.mbr_profile_var_threshold = 0.0049;
   s.seed = 5;
   s.window.min_samples = 12;
   s.window.max_samples = 512;
@@ -195,6 +205,44 @@ TEST_F(DistProtocolTest, VersionMismatchHandshakeIsRefused) {
   EXPECT_NE(v.at("reason").as_string().find("version"), std::string::npos);
   EXPECT_EQ(coordinator.fleet_size(), 0u);
   EXPECT_EQ(coordinator.stats().workers_connected, 0u);
+}
+
+TEST_F(DistProtocolTest, VersionOneSessionFrameIsRefused) {
+  // A version-1 spec carries no effect seed and no profile options, so a
+  // worker rebuilding it would rate another scenario: the agent refuses
+  // the session frame and never reports ready.
+  support::TcpListener listener;
+  std::string error;
+  ASSERT_TRUE(listener.listen(0, /*loopback_only=*/true, &error)) << error;
+  int status = -1;
+  std::thread agent([&] {
+    WorkerOptions options;
+    options.connect_host = "127.0.0.1";
+    options.connect_port = listener.port();
+    status = WorkerAgent(options).run();
+  });
+  pollfd pfd{listener.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  const int fd = listener.accept_ready();
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(proc::write_frame(fd, "{\"op\":\"session\",\"version\":1,"
+                                    "\"spec\":" +
+                                        serialize_session_spec(spec()) +
+                                        "}"));
+  std::vector<std::string> ops;
+  proc::FrameReader reader;
+  char buf[4096];
+  ssize_t got;
+  while ((got = ::read(fd, buf, sizeof buf)) > 0) {  // until it hangs up
+    reader.feed(buf, static_cast<std::size_t>(got));
+    while (auto frame = reader.next()) ops.push_back(frame_op(parse_frame(*frame)));
+  }
+  ::close(fd);
+  agent.join();
+  EXPECT_EQ(status, 1);
+  ASSERT_FALSE(ops.empty());
+  EXPECT_EQ(ops.front(), "hello");
+  EXPECT_EQ(std::count(ops.begin(), ops.end(), "ready"), 0);
 }
 
 }  // namespace

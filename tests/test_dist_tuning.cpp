@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "core/profile.hpp"
-#include "core/remote_eval.hpp"
+#include "core/peak.hpp"
+#include "core/session.hpp"
 #include "core/tuning_driver.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
@@ -34,37 +34,31 @@ namespace {
 /// on the same task.
 class DistTuningTest : public ::testing::Test {
 protected:
-  DistTuningTest()
-      : machine_(sim::sparc2()), effects_(search::gcc33_o3_space()) {}
-
   void SetUp() override { support::reset_shutdown(); }
   void TearDown() override { support::reset_shutdown(); }
 
-  struct Setup {
-    std::unique_ptr<workloads::Workload> workload;
-    workloads::Trace train;
-    core::ProfileData profile;
-  };
-
-  Setup setup(const std::string& name) {
-    Setup s;
-    s.workload = workloads::make_workload(name);
-    s.train = s.workload->trace(workloads::DataSet::kTrain, 42);
-    s.profile = core::profile_workload(*s.workload, s.train, machine_);
-    return s;
+  /// The driver-level scenario: train trace 42 and effect seed 0x9eac
+  /// on sparc2.
+  static core::SessionSpec spec_for(const std::string& benchmark) {
+    return {.benchmark = benchmark,
+            .machine = "sparc2",
+            .trace_seed = 42,
+            .effect_seed = 0x9eac};
   }
 
-  core::TuningOutcome tune(const Setup& s,
+  static core::Session setup(const std::string& name) {
+    return core::Session(spec_for(name));
+  }
+
+  /// The driver is built from the Session's parts, not by
+  /// Session::driver(), which reads the coordinator's spec: the injector
+  /// refusal below hands over a coordinator that must never be touched.
+  core::TuningOutcome tune(const core::Session& s,
                            const core::DriverOptions& options,
                            rating::Method method) {
-    core::TuningDriver driver(*s.workload, s.profile, s.train, machine_,
-                              effects_, options);
+    core::TuningDriver driver(s.workload(), s.profile(), s.tune_trace(),
+                              s.machine(), s.effects(), options);
     return driver.tune(method);
-  }
-
-  static core::SessionSpec spec_for(const std::string& benchmark,
-                                    const core::DriverOptions& options) {
-    return core::make_session_spec(benchmark, "sparc2", options);
   }
 
   /// A loopback fleet of in-process worker agents dialing the
@@ -135,13 +129,10 @@ protected:
     os << in.rdbuf();
     return os.str();
   }
-
-  sim::MachineModel machine_;
-  sim::FlagEffectModel effects_;
 };
 
 TEST_F(DistTuningTest, OutcomeAndJournalBitIdenticalToThreaded) {
-  Setup s = setup("SWIM");
+  const core::Session s = setup("SWIM");
   core::DriverOptions threaded;
   threaded.search_threads = 2;
   threaded.fault.journal_path = temp_path("peak_dist_journal_t2.jsonl");
@@ -153,7 +144,7 @@ TEST_F(DistTuningTest, OutcomeAndJournalBitIdenticalToThreaded) {
   distributed.fault.journal_path = temp_path("peak_dist_journal_d2.jsonl");
   Fleet fleet;
   auto coordinator =
-      form_fleet(spec_for("SWIM", distributed), fleet, 2);
+      form_fleet(spec_for("SWIM"), fleet, 2);
   ASSERT_NE(coordinator, nullptr);
   distributed.coordinator = coordinator.get();
   EXPECT_EQ(tune(s, distributed, rating::Method::kCBR), baseline);
@@ -171,7 +162,7 @@ TEST_F(DistTuningTest, OutcomeAndJournalBitIdenticalToThreaded) {
 }
 
 TEST_F(DistTuningTest, DistMatchesThreadedForRbrToo) {
-  Setup s = setup("ART");
+  const core::Session s = setup("ART");
   core::DriverOptions threaded;
   threaded.search_threads = 3;
   const core::TuningOutcome baseline =
@@ -181,7 +172,7 @@ TEST_F(DistTuningTest, DistMatchesThreadedForRbrToo) {
   distributed.search_threads = 3;
   Fleet fleet;
   auto coordinator =
-      form_fleet(spec_for("ART", distributed), fleet, 3);
+      form_fleet(spec_for("ART"), fleet, 3);
   ASSERT_NE(coordinator, nullptr);
   distributed.coordinator = coordinator.get();
   EXPECT_EQ(tune(s, distributed, rating::Method::kRBR), baseline);
@@ -189,7 +180,7 @@ TEST_F(DistTuningTest, DistMatchesThreadedForRbrToo) {
 }
 
 TEST_F(DistTuningTest, WorkerDyingMidRunStaysBitIdentical) {
-  Setup s = setup("SWIM");
+  const core::Session s = setup("SWIM");
   core::DriverOptions threaded;
   threaded.search_threads = 2;
   const core::TuningOutcome baseline =
@@ -201,7 +192,7 @@ TEST_F(DistTuningTest, WorkerDyingMidRunStaysBitIdentical) {
   core::DriverOptions distributed;
   distributed.search_threads = 2;
   Fleet fleet;
-  auto coordinator = form_fleet(spec_for("SWIM", distributed), fleet, 2,
+  auto coordinator = form_fleet(spec_for("SWIM"), fleet, 2,
                                 /*max_tasks_first=*/3);
   ASSERT_NE(coordinator, nullptr);
   distributed.coordinator = coordinator.get();
@@ -220,8 +211,7 @@ TEST_F(DistTuningTest, DeterministicCrasherFailsAfterMaxAttempts) {
   // dropping dead on its first task: the task burns one attempt per
   // corpse and comes back permanently failed after max_task_attempts,
   // with one recorded failure per attempt.
-  core::DriverOptions options;
-  const core::SessionSpec spec = spec_for("SWIM", options);
+  const core::SessionSpec spec = spec_for("SWIM");
   DistPolicy policy;
   policy.min_workers = 1;
   policy.max_task_attempts = 3;
@@ -285,7 +275,7 @@ TEST_F(DistTuningTest, InterruptedDistributedTuneResumesBitIdentical) {
   // Kill-the-coordinator drill: a shutdown request surfaces between
   // rounds (rounds drain first), the journal stays resumable, and a
   // plain single-machine --resume lands on the bit-identical outcome.
-  Setup s = setup("SWIM");
+  const core::Session s = setup("SWIM");
   core::DriverOptions plain;
   plain.search_threads = 2;
   const core::TuningOutcome baseline =
@@ -297,7 +287,7 @@ TEST_F(DistTuningTest, InterruptedDistributedTuneResumesBitIdentical) {
   interrupted.fault.journal_path = path;
   Fleet fleet;
   auto coordinator =
-      form_fleet(spec_for("SWIM", interrupted), fleet, 2);
+      form_fleet(spec_for("SWIM"), fleet, 2);
   ASSERT_NE(coordinator, nullptr);
   interrupted.coordinator = coordinator.get();
   support::request_shutdown();
@@ -318,7 +308,7 @@ TEST_F(DistTuningTest, InterruptedDistributedTuneResumesBitIdentical) {
 }
 
 TEST_F(DistTuningTest, DistributedModeRefusesFaultInjector) {
-  Setup s = setup("SWIM");
+  const core::Session s = setup("SWIM");
   fault::FaultInjector injector;
   core::DriverOptions options;
   options.search_threads = 1;
@@ -328,6 +318,51 @@ TEST_F(DistTuningTest, DistributedModeRefusesFaultInjector) {
   options.coordinator = reinterpret_cast<Coordinator*>(0x1);
   EXPECT_THROW(tune(s, options, rating::Method::kCBR),
                support::CheckError);
+}
+
+TEST_F(DistTuningTest, PeakOverAFleetRatesTheSessionItWasHanded) {
+  // The fleet is formed with the spec of the Session Peak::tune builds
+  // (its seed-derived traces and effect model), so every remote rating
+  // is the one the in-process run makes.
+  for (const char* benchmark : {"SWIM", "MGRID"}) {
+    SCOPED_TRACE(benchmark);
+    const auto workload = workloads::make_workload(benchmark);
+    core::PeakOptions options;
+    options.driver.search_threads = 2;
+    const core::MethodRun local = core::Peak(sim::sparc2(), options)
+                                      .tune(*workload, rating::Method::kCBR);
+
+    Fleet fleet;
+    auto coordinator = form_fleet(
+        core::session_spec(options, benchmark, "sparc2"), fleet, 2);
+    ASSERT_NE(coordinator, nullptr);
+    options.driver.coordinator = coordinator.get();
+    const core::MethodRun remote = core::Peak(sim::sparc2(), options)
+                                       .tune(*workload, rating::Method::kCBR);
+    EXPECT_EQ(remote.method, local.method);
+    EXPECT_EQ(remote.best_config, local.best_config);
+    EXPECT_EQ(remote.cost, local.cost);
+    EXPECT_EQ(remote.ref_improvement_pct, local.ref_improvement_pct);
+    EXPECT_EQ(remote.exhausted_fraction, local.exhausted_fraction);
+    EXPECT_GE(coordinator->stats().tasks_dispatched, 1u);
+    coordinator->shutdown();
+  }
+}
+
+TEST_F(DistTuningTest, PeakRefusesAFleetFormedForAnotherScenario) {
+  // A fleet rebuilding train trace 42 would rate another scenario than
+  // Peak's seed-derived one: refused before any task ships.
+  const auto workload = workloads::make_workload("SWIM");
+  Fleet fleet;
+  auto coordinator = form_fleet(spec_for("SWIM"), fleet, 1);
+  ASSERT_NE(coordinator, nullptr);
+  core::PeakOptions options;
+  options.driver.coordinator = coordinator.get();
+  EXPECT_THROW(core::Peak(sim::sparc2(), options)
+                   .tune(*workload, rating::Method::kCBR),
+               support::CheckError);
+  EXPECT_EQ(coordinator->stats().tasks_dispatched, 0u);
+  coordinator->shutdown();
 }
 
 }  // namespace

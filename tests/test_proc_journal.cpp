@@ -39,10 +39,10 @@ protected:
     ProfileData profile;
   };
 
-  Setup setup(const std::string& name) {
+  Setup setup(const std::string& name, std::uint64_t trace_seed = 42) {
     Setup s;
     s.workload = workloads::make_workload(name);
-    s.train = s.workload->trace(workloads::DataSet::kTrain, 42);
+    s.train = s.workload->trace(workloads::DataSet::kTrain, trace_seed);
     s.profile = profile_workload(*s.workload, s.train, machine_);
     return s;
   }
@@ -189,6 +189,36 @@ TEST_F(ProcDurabilityTest, StrictResumeRefusesACorruptJournal) {
                support::CheckError);
 }
 
+TEST_F(ProcDurabilityTest, ResumeRefusesAJournalOfAnotherRun) {
+  // A segment replays only into the run that wrote it: same method, same
+  // run fingerprint. The first IE probes have the same config keys in
+  // every section, so the key check alone would let another run's
+  // deltas through. (ART's train trace depends on its seed.)
+  const Setup s = setup("ART");
+  const std::string path = temp_path("peak_journal_other_run.jsonl");
+  DriverOptions options;
+  options.fault.journal_path = path;
+  const TuningOutcome original = tune(s, options, rating::Method::kRBR);
+  options.fault.resume = true;
+
+  EXPECT_THROW(tune(setup("ART", 43), options, rating::Method::kRBR),
+               JournalError);
+  EXPECT_THROW(tune(s, options, rating::Method::kCBR), JournalError);
+
+  // A start record without a fingerprint cannot vouch for its run.
+  std::vector<std::string> lines = read_lines(path);
+  const std::size_t fp = lines[0].find(",\"fp\":");
+  ASSERT_NE(fp, std::string::npos) << lines[0];
+  const std::vector<std::string> recorded = lines;
+  lines[0] = lines[0].substr(0, fp) + "}";
+  write_lines(path, lines);
+  EXPECT_THROW(tune(s, options, rating::Method::kRBR), JournalError);
+
+  // The run that wrote the journal still resumes from it.
+  write_lines(path, recorded);
+  EXPECT_EQ(tune(s, options, rating::Method::kRBR), original);
+}
+
 #ifdef PEAK_CLI_PATH
 /// `peak tune --resume --journal-strict` refuses a damaged journal with
 /// exit 1 and a message naming the journal and the line, and --resume
@@ -230,6 +260,36 @@ TEST_F(ProcDurabilityTest, CliRefusesDamagedOrMissingJournalWithExitOne) {
   EXPECT_EQ(WEXITSTATUS(status), 1) << err;
   EXPECT_NE(err.find("cannot read tuning journal"), std::string::npos)
       << err;
+}
+
+/// `peak tune --resume` refuses a journal another run wrote — another
+/// section, machine or method — with exit 1. A SWIM journal used to
+/// replay silently onto EQUAKE, or to abort (exit 134) under RBR.
+TEST_F(ProcDurabilityTest, CliRefusesAJournalOfAnotherRunWithExitOne) {
+  const std::string path = temp_path("peak_journal_cli_other_run.jsonl");
+  const std::string err_path = temp_path("peak_journal_cli_other_run.err");
+  auto peak_tune = [&](const std::string& flags, std::string* err) {
+    const std::string cmd = std::string(PEAK_CLI_PATH) +
+                            " tune --search-threads 1 --journal " + path +
+                            " " + flags + " > /dev/null 2> " + err_path;
+    const int status = std::system(cmd.c_str());
+    std::ifstream in(err_path);
+    std::stringstream text;
+    text << in.rdbuf();
+    *err = text.str();
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+
+  std::string err;
+  ASSERT_EQ(peak_tune("--benchmark swim", &err), 0) << err;
+  for (const char* other : {"--benchmark equake --machine p4",
+                            "--benchmark mgrid", "--benchmark swim --method RBR"}) {
+    EXPECT_EQ(peak_tune(std::string(other) + " --resume", &err), 1)
+        << other << ": " << err;
+    EXPECT_NE(err.find("refusing to resume"), std::string::npos)
+        << other << ": " << err;
+  }
+  EXPECT_EQ(peak_tune("--benchmark swim --resume", &err), 0) << err;
 }
 #endif
 

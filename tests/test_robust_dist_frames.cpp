@@ -17,7 +17,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/remote_eval.hpp"
+#include "core/peak.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/protocol.hpp"
 #include "proc/protocol.hpp"
@@ -87,9 +87,8 @@ struct Fleet {
   }
 };
 
-core::SessionSpec spec() {
-  return core::make_session_spec("SWIM", "sparc2", core::DriverOptions{});
-}
+/// The scenario Peak tunes SWIM in on sparc2.
+core::SessionSpec spec() { return core::session_spec({}, "SWIM", "sparc2"); }
 
 DistPolicy test_policy(std::size_t workers) {
   DistPolicy policy;

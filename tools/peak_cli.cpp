@@ -34,7 +34,7 @@
 #include "core/report.hpp"
 #include "core/journal.hpp"
 #include "core/jsonl.hpp"
-#include "core/remote_eval.hpp"
+#include "core/session.hpp"
 #include "core/tuning_driver.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/worker_agent.hpp"
@@ -94,9 +94,8 @@ struct Args {
   bool markdown = false;
   bool verbose = false;  ///< print the metrics table after the command
   /// Distributed tuning (tune): "listen:PORT" accepts `peak worker
-  /// --connect` agents, --workers dials agents in --listen mode. Both
-  /// imply the driver path; mutually exclusive with each other and with
-  /// --fault-prob / --isolate-workers.
+  /// --connect` agents, --workers dials agents in --listen mode. Mutually
+  /// exclusive with each other and with --fault-prob / --isolate-workers.
   std::string distribute;          ///< "listen:PORT" (tune)
   std::string workers_csv;         ///< "host1:p1,host2:p2" (tune)
   unsigned min_workers = 0;        ///< 0 = dialed endpoints, or 1
@@ -107,13 +106,6 @@ struct Args {
   /// True when distributed tuning is requested at all.
   [[nodiscard]] bool distributed() const {
     return !distribute.empty() || !workers_csv.empty();
-  }
-
-  /// True when the tune command must run through the fault-aware driver
-  /// instead of the plain Peak facade.
-  [[nodiscard]] bool wants_driver() const {
-    return fault_prob > 0.0 || no_guard || !journal_path.empty() ||
-           resume || distributed();
   }
 
   /// The `--resume` command line to suggest after a graceful interrupt.
@@ -244,8 +236,8 @@ std::string cache_stats_json_of(const core::RatingCache* cache) {
 /// stops both — final progress document included — on scope exit.
 class TelemetryScope {
 public:
-  /// `quarantine` may start null and be filled in later (the driver that
-  /// owns it is constructed after profiling); the provider reads it
+  /// `quarantine` points at null until the driver that owns the
+  /// registry is built, after profiling; the provider reads it
   /// atomically per request.
   TelemetryScope(
       const Args& args,
@@ -262,12 +254,11 @@ public:
     o.port = static_cast<std::uint16_t>(args.telemetry_port);
     o.port_file = args.journal_path.empty() ? "peak.port"
                                             : args.journal_path + ".port";
-    if (quarantine)
-      o.quarantine_json = [quarantine] {
-        const fault::Quarantine* q = quarantine->load();
-        return q ? quarantine_json_of(*q)
-                 : std::string("{\"size\":0,\"entries\":[]}");
-      };
+    o.quarantine_json = [quarantine] {
+      const fault::Quarantine* q = quarantine->load();
+      return q ? quarantine_json_of(*q)
+               : std::string("{\"size\":0,\"entries\":[]}");
+    };
     o.cache_stats_json = [cache] { return cache_stats_json_of(cache); };
     o.workers_json = [] { return proc::WorkerTable::global().json(); };
     const std::string port_file = o.port_file;
@@ -351,14 +342,11 @@ int cmd_analyze(const Args& args) {
   return 0;
 }
 
-/// Fault-aware tuning: drives a TuningDriver directly so the fault
-/// injector, guarded executor, and crash-safe journal can be wired in.
-/// Parse and validate the dist flags into a ready coordinator. Returns
-/// false (with a diagnostic already printed) when the fleet cannot form.
-bool start_coordinator(const Args& args, const core::DriverOptions& options,
+/// Parse and validate the dist flags into a ready coordinator that ships
+/// `spec` to every worker. Returns false (with a diagnostic already
+/// printed) when the fleet cannot form.
+bool start_coordinator(const Args& args, const core::SessionSpec& spec,
                        std::optional<dist::Coordinator>& coordinator) {
-  core::SessionSpec spec = core::make_session_spec(
-      args.benchmark, args.machine == "p4" ? "p4" : "sparc2", options);
   std::vector<std::string> endpoints;
   if (!args.workers_csv.empty()) {
     std::string rest = args.workers_csv;
@@ -372,7 +360,7 @@ bool start_coordinator(const Args& args, const core::DriverOptions& options,
   policy.min_workers = args.min_workers != 0 ? args.min_workers
                        : endpoints.empty()   ? 1
                                              : endpoints.size();
-  coordinator.emplace(std::move(spec), policy);
+  coordinator.emplace(spec, policy);
   std::string error;
   if (!endpoints.empty()) {
     if (!coordinator->dial(endpoints, &error)) {
@@ -415,10 +403,53 @@ bool start_coordinator(const Args& args, const core::DriverOptions& options,
   return true;
 }
 
-int cmd_tune_driver(const Args& args,
-                    const workloads::Workload& workload) {
+/// The one scenario `peak tune` tunes in and `peak apply` measures in:
+/// Peak's, with default options.
+core::Session session_of(const Args& args,
+                         const workloads::Workload& workload) {
   const sim::MachineModel machine = machine_of(args);
-  const sim::FlagEffectModel effects(search::gcc33_o3_space());
+  return core::Session(
+      core::session_spec({}, workload.benchmark(), machine.name), &workload,
+      machine);
+}
+
+/// `peak tune`: every flag tunes the same Session. Flags only add a
+/// journal, a rating cache, a fault injector, the guard switch, slot
+/// threads or a transport to the driver.
+int cmd_tune(const Args& args) {
+  if (args.benchmark.empty()) return usage();
+  if (args.distributed()) {
+    // Fault injection and quarantine verdicts depend on attempt history
+    // held coordinator-side; shipping them would break the pure-function
+    // task contract. Subprocess isolation is the same transport solved a
+    // different way. Both refuse loudly rather than silently diverge.
+    if (!args.distribute.empty() && !args.workers_csv.empty()) {
+      std::fprintf(stderr,
+                   "--distribute and --workers are mutually exclusive\n");
+      return 2;
+    }
+    if (args.fault_prob > 0.0) {
+      std::fprintf(stderr,
+                   "--fault-prob cannot combine with distributed tuning "
+                   "(fault verdicts are coordinator-side state)\n");
+      return 2;
+    }
+    if (args.isolate_workers > 0) {
+      std::fprintf(stderr,
+                   "--isolate-workers cannot combine with distributed "
+                   "tuning (pick one worker transport)\n");
+      return 2;
+    }
+  }
+  const auto workload = workloads::make_workload(args.benchmark);
+  if (!workload) {
+    std::fprintf(stderr, "unknown benchmark '%s'\n",
+                 args.benchmark.c_str());
+    return 1;
+  }
+  const core::Session session = session_of(args, *workload);
+  const sim::MachineModel& machine = session.machine();
+  const sim::FlagEffectModel& effects = session.effects();
 
   // Must outlive the driver (and the telemetry server, whose /cache/stats
   // provider reads it); the evaluator ignores it whenever a fault
@@ -434,11 +465,7 @@ int cmd_tune_driver(const Args& args,
                            cache ? &*cache : nullptr);
   if (!telemetry.ok()) return 1;
   telemetry.phase("profiling");
-
-  const workloads::Trace train =
-      workload.trace(workloads::DataSet::kTrain, 42);
-  const core::ProfileData profile =
-      core::profile_workload(workload, train, machine);
+  (void)session.profile();
 
   fault::FaultModel model;
   model.fault_prob = args.fault_prob;
@@ -464,12 +491,11 @@ int cmd_tune_driver(const Args& args,
   std::optional<dist::Coordinator> coordinator;
   if (args.distributed()) {
     telemetry.phase("fleet");
-    if (!start_coordinator(args, options, coordinator)) return 1;
+    if (!start_coordinator(args, session.spec(), coordinator)) return 1;
     options.coordinator = &*coordinator;
   }
 
-  core::TuningDriver driver(workload, profile, train, machine, effects,
-                            options);
+  core::TuningDriver driver = session.driver(options);
   quarantine_view->store(&driver.quarantine());
   telemetry.phase("tuning");
   core::TuningOutcome outcome;
@@ -502,18 +528,11 @@ int cmd_tune_driver(const Args& args,
     return 1;
   }
   telemetry.phase("reporting");
+  const double improvement = session.ref_improvement_pct(outcome.best_config);
 
-  const workloads::Trace ref = workload.trace(workloads::DataSet::kRef, 1);
-  const double o3 = core::expected_trace_time(
-      workload, ref, machine, effects, search::o3_config(effects.space()));
-  const double tuned = core::expected_trace_time(workload, ref, machine,
-                                                 effects,
-                                                 outcome.best_config);
-
-  std::printf("%s on %s via %s\n", workload.full_name().c_str(),
+  std::printf("%s on %s via %s\n", workload->full_name().c_str(),
               machine.name.c_str(), rating::to_string(outcome.method));
-  std::printf("  improvement over -O3 (ref): %.2f%%\n",
-              (o3 / tuned - 1.0) * 100.0);
+  std::printf("  improvement over -O3 (ref): %.2f%%\n", improvement);
   std::printf("  flags removed: %s\n",
               outcome.best_config
                   .describe(effects.space(), /*invert=*/true)
@@ -559,100 +578,10 @@ int cmd_tune_driver(const Args& args,
     core::StoredConfig entry;
     entry.config = outcome.best_config;
     entry.method = outcome.method;
-    entry.improvement_pct = (o3 / tuned - 1.0) * 100.0;
+    entry.improvement_pct = improvement;
     for (const auto& [key, q] : quarantine.entries())
       if (q.quarantined)
         entry.quarantined.push_back({key, q.kind, q.failures});
-    store.put(workload.full_name(), machine.name, entry);
-    if (!store.save_file(args.save_path)) {
-      std::fprintf(stderr, "failed to write %s\n", args.save_path.c_str());
-      return 1;
-    }
-    std::printf("  saved to %s\n", args.save_path.c_str());
-  }
-  return 0;
-}
-
-int cmd_tune(const Args& args) {
-  if (args.benchmark.empty()) return usage();
-  if (args.distributed()) {
-    // Fault injection and quarantine verdicts depend on attempt history
-    // held coordinator-side; shipping them would break the pure-function
-    // task contract. Subprocess isolation is the same transport solved a
-    // different way. Both refuse loudly rather than silently diverge.
-    if (!args.distribute.empty() && !args.workers_csv.empty()) {
-      std::fprintf(stderr,
-                   "--distribute and --workers are mutually exclusive\n");
-      return 2;
-    }
-    if (args.fault_prob > 0.0) {
-      std::fprintf(stderr,
-                   "--fault-prob cannot combine with distributed tuning "
-                   "(fault verdicts are coordinator-side state)\n");
-      return 2;
-    }
-    if (args.isolate_workers > 0) {
-      std::fprintf(stderr,
-                   "--isolate-workers cannot combine with distributed "
-                   "tuning (pick one worker transport)\n");
-      return 2;
-    }
-  }
-  const auto workload = workloads::make_workload(args.benchmark);
-  if (!workload) {
-    std::fprintf(stderr, "unknown benchmark '%s'\n",
-                 args.benchmark.c_str());
-    return 1;
-  }
-  if (args.wants_driver()) return cmd_tune_driver(args, *workload);
-  const sim::MachineModel machine = machine_of(args);
-  core::PeakOptions popts;
-  popts.driver.search_threads = args.search_threads;
-  popts.driver.isolate_workers = args.isolate_workers;
-  std::optional<core::RatingCache> cache;  // must outlive `peak`
-  if (!args.rating_cache_path.empty()) {
-    cache.emplace(args.rating_cache_path);
-    popts.driver.rating_cache = &*cache;
-  }
-  // The facade path has no quarantine (no fault wiring) — /quarantine
-  // answers 404 there.
-  TelemetryScope telemetry(args, nullptr, cache ? &*cache : nullptr);
-  if (!telemetry.ok()) return 1;
-  telemetry.phase("tuning");
-  core::Peak peak(machine, popts);
-
-  core::MethodRun run;
-  try {
-    run = peak.tune(*workload, args.method);
-  } catch (const support::ShutdownRequested& e) {
-    telemetry.phase("interrupted");
-    std::fprintf(stderr, "\ninterrupted by signal %d; %s\n", e.signal(),
-                 args.resume_hint().c_str());
-    return 128 + e.signal();
-  }
-  telemetry.phase("reporting");
-
-  std::printf("%s on %s via %s\n", workload->full_name().c_str(),
-              machine.name.c_str(), rating::to_string(run.method));
-  std::printf("  improvement over -O3 (ref): %.2f%%\n",
-              run.ref_improvement_pct);
-  std::printf("  flags removed: %s\n",
-              run.best_config
-                  .describe(peak.effects().space(), /*invert=*/true)
-                  .c_str());
-  std::printf("  cost: %zu invocations (%.2f program runs)\n",
-              run.cost.invocations, run.cost.program_runs);
-  if (cache)
-    std::printf("  rating cache: %s (%zu entries)\n",
-                cache->path().c_str(), cache->size());
-
-  if (!args.save_path.empty()) {
-    core::ConfigStore store(peak.effects().space());
-    store.load_file(args.save_path);  // merge with existing records
-    core::StoredConfig entry;
-    entry.config = run.best_config;
-    entry.method = run.method;
-    entry.improvement_pct = run.ref_improvement_pct;
     store.put(workload->full_name(), machine.name, entry);
     if (!store.save_file(args.save_path)) {
       std::fprintf(stderr, "failed to write %s\n", args.save_path.c_str());
@@ -663,6 +592,8 @@ int cmd_tune(const Args& args) {
   return 0;
 }
 
+/// `peak apply`: the stored config measured on the ref trace of the
+/// scenario `peak tune` measured it in, so both print the same number.
 int cmd_apply(const Args& args) {
   if (args.benchmark.empty() || args.load_path.empty()) return usage();
   const auto workload = workloads::make_workload(args.benchmark);
@@ -671,9 +602,9 @@ int cmd_apply(const Args& args) {
                  args.benchmark.c_str());
     return 1;
   }
-  const sim::MachineModel machine = machine_of(args);
-  const sim::FlagEffectModel effects(search::gcc33_o3_space());
-  core::ConfigStore store(effects.space());
+  const core::Session session = session_of(args, *workload);
+  const sim::MachineModel& machine = session.machine();
+  core::ConfigStore store(session.effects().space());
   if (!store.load_file(args.load_path)) {
     std::fprintf(stderr, "cannot read %s\n", args.load_path.c_str());
     return 1;
@@ -684,15 +615,10 @@ int cmd_apply(const Args& args) {
                  workload->full_name().c_str(), machine.name.c_str());
     return 1;
   }
-  const workloads::Trace ref = workload->trace(workloads::DataSet::kRef, 1);
-  const double o3 = core::expected_trace_time(
-      *workload, ref, machine, effects, search::o3_config(effects.space()));
-  const double tuned = core::expected_trace_time(*workload, ref, machine,
-                                                 effects, entry->config);
   std::printf("%s @ %s (stored via %s): improvement %.2f%% on ref\n",
               workload->full_name().c_str(), machine.name.c_str(),
               rating::to_string(entry->method),
-              (o3 / tuned - 1.0) * 100.0);
+              session.ref_improvement_pct(entry->config));
   return 0;
 }
 
