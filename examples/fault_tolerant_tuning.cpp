@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/journal.hpp"
 #include "core/profile.hpp"
 #include "core/tuning_driver.hpp"
 #include "fault/injector.hpp"
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
     std::ofstream out(journal);
     for (std::size_t i = 0; i < 1 + (lines.size() - 1) / 2; ++i)
       out << lines[i] << '\n';
-    out << "{\"type\":\"eval\",\"ba";  // the write the kill interrupted
+    out << "{\"type\":\"rating\",\"ke";  // the write the kill interrupted
   }
   std::printf("\nKilled the run at journal line %zu of %zu; resuming...\n",
               1 + (lines.size() - 1) / 2, lines.size());

@@ -23,18 +23,6 @@ namespace {
 using jsonl::JsonParser;
 using jsonl::JsonValue;
 
-struct CacheMetrics {
-  obs::Counter& hits = obs::counter("search.cache.hit");
-  obs::Counter& misses = obs::counter("search.cache.miss");
-  obs::Counter& stores = obs::counter("search.cache.store");
-  obs::Counter& corrupt = obs::counter("search.cache.corrupt_lines");
-
-  static CacheMetrics& get() {
-    static CacheMetrics metrics;
-    return metrics;
-  }
-};
-
 /// EINTR-safe full write of `data` to `fd`; false on any hard error.
 bool full_write(int fd, const std::string& data) {
   const char* p = data.data();
@@ -51,13 +39,36 @@ bool full_write(int fd, const std::string& data) {
   return true;
 }
 
+/// Cut a torn trailing record — the bytes after the last '\n', left by a
+/// writer killed mid-append — off the file behind `fd`. False when they
+/// cannot be read or cut; they stay, and a later load skips the damage.
+bool cut_torn_tail(int fd) {
+  off_t end = ::lseek(fd, 0, SEEK_END);
+  char last = '\n';
+  if (end <= 0 || ::pread(fd, &last, 1, end - 1) != 1 || last == '\n')
+    return end >= 0;
+  char buf[4096];
+  while (end > 0) {
+    const off_t start = std::max<off_t>(0, end - off_t{sizeof buf});
+    const auto len = static_cast<std::size_t>(end - start);
+    if (::pread(fd, buf, len, start) != static_cast<ssize_t>(len))
+      return false;
+    std::size_t i = len;
+    while (i > 0 && buf[i - 1] != '\n') --i;
+    end = start + static_cast<off_t>(i);
+    if (i > 0) break;
+  }
+  return ::ftruncate(fd, end) == 0;
+}
+
 }  // namespace
 
-// v2: keys digest the whole MemberTask, memo EVALs included; v1 keys
-// (config bits only) never match one.
+// v3: keys digest the whole MemberTask, memo EVALs, quarantine entries
+// and validation verdict included; v1 keys (config bits only) and v2
+// keys (no fault state) never match one.
 RatingCache::Fingerprint::Fingerprint()
-    : h1_(support::stable_hash("peak.rating_cache.v2")),
-      h2_(support::stable_hash("peak.rating_cache.v2.alt")) {}
+    : h1_(support::stable_hash("peak.rating_cache.v3")),
+      h2_(support::stable_hash("peak.rating_cache.v3.alt")) {}
 
 void RatingCache::Fingerprint::mix(std::uint64_t v) {
   h1_ = support::hash_combine(h1_, v);
@@ -91,6 +102,14 @@ std::string RatingCache::Fingerprint::key(const MemberTask& task) const {
     k.mix_string(key);
     k.mix_double(eval);
   }
+  k.mix(task.faults.size());
+  for (const FaultRecord& f : task.faults) {
+    k.mix_string(f.key);
+    k.mix(static_cast<std::uint64_t>(f.kind));
+    k.mix(f.failures);
+    k.mix(f.quarantined ? 1 : 0);
+  }
+  k.mix(task.validated ? 1 : 0);
   return k.hex();
 }
 
@@ -102,37 +121,49 @@ std::string RatingCache::Fingerprint::hex() const {
   return std::string(buf);
 }
 
-RatingCache::RatingCache(std::string path) : path_(std::move(path)) {
-  // Load whatever a previous run left behind; a missing file just means
-  // a cold cache. Damaged complete lines (a garbage write, a flipped bit)
-  // are skipped and counted; a partial trailing line (a kill mid-store)
-  // is skipped silently — that one is expected, not damage. Entries are
-  // keyed, not sequenced, so a skipped line costs only itself.
-  std::ifstream in(path_, std::ios::binary);
-  if (in.good()) {
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      const bool complete = !in.eof();  // terminated by '\n'
-      try {
-        if (line.back() != '}')
-          throw support::CheckError("unterminated cache record");
-        const JsonValue record = JsonParser(line).parse();
-        if (!record.has("type") ||
-            record.at("type").as_string() != "rating")
-          continue;  // unknown record type: forward-compat, not damage
-        entries_.emplace(record.at("key").as_string(),
-                         RatingDelta::decode(record));
-      } catch (const std::exception&) {
-        // std::exception, not just CheckError: a flipped bit inside a
-        // hex field surfaces as std::invalid_argument from stoull.
-        if (complete) CacheMetrics::get().corrupt.inc();
-      }
+RatingCache::RatingCache(std::string path, Load load,
+                         const StoreCounters& counters)
+    : path_(std::move(path)),
+      hits_(obs::counter(counters.hit)),
+      misses_(obs::counter(counters.miss)),
+      stores_(obs::counter(counters.store)) {
+  obs::Counter& corrupt = obs::counter(counters.corrupt);
+  std::ifstream in;
+  if (load != Load::kNone) in.open(path_, std::ios::binary);
+  if (!in.good() && (load == Load::kRequired || load == Load::kStrict))
+    throw JournalError("cannot read tuning journal " + path_);
+  // A trailing line without its '\n' is a record a kill cut short — even
+  // if it happens to parse — and is skipped silently: that one is
+  // expected, not damage, and the next store() cuts it. A damaged
+  // complete line (a garbage write, a flipped bit) is skipped and
+  // counted, or refused under kStrict. Entries are keyed, not sequenced,
+  // so a skipped line costs only itself.
+  std::uint64_t line_no = 0;
+  std::string line;
+  while (in.good() && std::getline(in, line) && !in.eof()) {
+    ++line_no;
+    if (line.empty()) continue;
+    try {
+      if (line.back() != '}')
+        throw support::CheckError("unterminated record");
+      const JsonValue record = JsonParser(line).parse();
+      if (!record.has("type") || record.at("type").as_string() != "rating")
+        continue;  // unknown record type: forward-compat, not damage
+      entries_.emplace(record.at("key").as_string(),
+                       RatingDelta::decode(record));
+    } catch (const std::exception& e) {
+      // std::exception, not just CheckError: a flipped bit inside a hex
+      // field surfaces as std::invalid_argument from stoull.
+      if (load == Load::kStrict)
+        throw JournalError("journal " + path_ + " line " +
+                           std::to_string(line_no) +
+                           " is corrupt: " + e.what());
+      corrupt.inc();
     }
   }
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+  fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC,
                0644);
-  PEAK_CHECK(fd_ >= 0, "cannot open rating cache " + path_);
+  PEAK_CHECK(fd_ >= 0, "cannot open " + path_);
 }
 
 RatingCache::~RatingCache() {
@@ -144,10 +175,10 @@ std::optional<RatingDelta> RatingCache::lookup(
   std::lock_guard lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    CacheMetrics::get().misses.inc();
+    misses_.inc();
     return std::nullopt;
   }
-  CacheMetrics::get().hits.inc();
+  hits_.inc();
   return it->second;
 }
 
@@ -167,9 +198,13 @@ void RatingCache::store(const std::string& key, const RatingDelta& delta) {
   while (::flock(fd_, LOCK_EX) != 0) {
     if (errno != EINTR) break;  // lock unavailable: still write the line
   }
+  // Under the lock no live writer is mid-line, so bytes after the last
+  // '\n' are a dead writer's torn record. Cutting them starts this record
+  // on a line of its own instead of gluing both into one damaged line.
+  cut_torn_tail(fd_);
   full_write(fd_, line);
   ::flock(fd_, LOCK_UN);
-  CacheMetrics::get().stores.inc();
+  stores_.inc();
 }
 
 std::size_t RatingCache::size() const {

@@ -5,16 +5,16 @@
 /// driver (RatingDelta, with its one encoding).
 ///
 /// A batched rating runs on a freshly reset backend clone with its task's
-/// content-seeded measurement stream, reads no memo EVAL but the task's
-/// (and, under a fault injector, copies of the quarantine and validated
-/// set), and buffers every effect it has — its R value, memo entries,
-/// validations, quarantine counts, fault events, counter advances and
-/// simulated-cycle costs — in a RatingDelta. The driver folds deltas
-/// into its state in canonical candidate order, whether the delta was
-/// computed on a pool thread, shipped back from a forked worker or a TCP
-/// worker, loaded from the rating cache, or read back from the journal on
-/// resume. All four carry the same single-line JSON object (core/jsonl
-/// dialect: doubles as IEEE-754 bit patterns, so a round trip is exact).
+/// content-seeded measurement stream, reads no memo EVAL, quarantine
+/// entry or validation verdict but the task's, and buffers every effect
+/// it has — its R value, memo entries, validations, quarantine counts,
+/// fault events, counter advances and simulated-cycle costs — in a
+/// RatingDelta. The driver folds deltas into its state in canonical
+/// candidate order, whether the delta was computed on a pool thread,
+/// shipped back from a forked worker or a TCP worker, or found under its
+/// task's key in the rating cache or, on resume, in the journal. All
+/// carry the same single-line JSON object (core/jsonl dialect: doubles
+/// as IEEE-754 bit patterns, so a round trip is exact).
 
 #include <cstdint>
 #include <exception>
@@ -39,13 +39,26 @@ struct RatingNotConverging : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// One config's quarantine entry (fault::Quarantine::Entry with its key):
+/// what a member reads of the registry, and what it leaves there.
+struct FaultRecord {
+  std::string key;
+  fault::FaultKind kind = fault::FaultKind::kNone;
+  std::uint64_t failures = 0;
+  bool quarantined = false;
+
+  friend bool operator==(const FaultRecord&, const FaultRecord&) = default;
+};
+
 /// One batch member: rate `cfg_key` against `base_key` with `method`.
 /// Built once per member, after the batch's prologue has merged, it is
-/// all a rating reads besides the scenario: the stream seed, and the
-/// merged memo EVALs of the base and the candidate (all a rating ever
-/// looks up). Slot threads and forked workers rate from it, the TCP
-/// fleet ships it as the task frame, and the rating cache keys on its
-/// digest, so the three cannot disagree on what a rating depends on.
+/// all a rating reads besides the scenario (and the run's fault
+/// settings): the stream seed, the merged memo EVALs and quarantine
+/// entries of the base and the candidate, and the candidate's validation
+/// verdict (all a rating ever looks up). Slot threads and forked workers
+/// rate from it, the TCP fleet ships it as the task frame, and the
+/// rating cache and the journal key on its digest, so none can disagree
+/// on what a rating depends on.
 struct MemberTask {
   rating::Method method = rating::Method::kWHL;
   std::string base_key;  ///< FlagConfig::key() ("0"/"1" per flag)
@@ -54,6 +67,11 @@ struct MemberTask {
   std::uint64_t seed = 0; ///< content-derived member stream seed
   /// Memo EVALs the member may read (config key → EVAL), base first.
   std::vector<std::pair<std::string, double>> memo;
+  /// Quarantine entries of the base and the candidate, base first, for
+  /// the keys the registry holds (a guarded rating consults no other).
+  std::vector<FaultRecord> faults;
+  /// The candidate's output digest already passed validation.
+  bool validated = false;
 
   friend bool operator==(const MemberTask&, const MemberTask&) = default;
 };
@@ -74,13 +92,7 @@ struct RatingDelta {
   std::vector<RatingObs> robs;
   /// Quarantine state, after the rating, of every config that faulted
   /// during it, sorted by key.
-  struct Fail {
-    std::string key;
-    fault::FaultKind kind = fault::FaultKind::kNone;
-    std::uint64_t failures = 0;
-    bool quarantined = false;
-  };
-  std::vector<Fail> fails;
+  std::vector<FaultRecord> fails;
   /// Fault events the guarded executor reported, in order.
   std::vector<fault::FaultEvent> events;
   std::uint64_t invocations = 0;

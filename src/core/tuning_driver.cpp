@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "analysis/instrumentation.hpp"
-#include "core/journal.hpp"
 #include "core/jsonl.hpp"
 #include "core/rating_cache.hpp"
 #include "core/rating_delta.hpp"
@@ -77,12 +76,13 @@ double us_since(std::chrono::steady_clock::time_point t0) {
 /// no EVAL but its task's, and all it changes comes back as a
 /// RatingDelta that is merged in canonical candidate order. The outcome
 /// therefore does not depend on the slot count, the transport (threads,
-/// forked workers, TCP fleet), cache hits or a resume.
+/// forked workers, TCP fleet), cache hits or a resume, which looks
+/// members up in the journal by the same task key as the cache.
 class TuningDriver::Evaluator final : public search::ConfigEvaluator {
 public:
   Evaluator(const TuningDriver& driver, rating::Method method,
             const ir::Function& fn, fault::Quarantine& quarantine,
-            TuningJournal* journal, const JournalSegment* replay)
+            RatingCache* journal)
       : driver_(driver),
         method_(method),
         fn_(fn),
@@ -95,24 +95,8 @@ public:
         }()),
         quarantine_(quarantine),
         journal_(journal),
-        replay_(replay) {
-    // The persistent rating cache is unsound under a fault injector:
-    // injector verdicts depend on attempt/quarantine state that is not
-    // part of the key.
-    if (driver.options_.fault.injector == nullptr)
-      cache_ = driver.options_.rating_cache;
-    if (cache_ == nullptr && journal_ == nullptr) return;
-    init_fingerprint();
-    // A segment replays only into the run that wrote it: same method,
-    // same run fingerprint.
-    const std::string fp = fingerprint_.hex();
-    if (replay_ != nullptr &&
-        (replay_->method != rating::to_string(method) ||
-         replay_->fingerprint != fp))
-      throw JournalError("journal " + journal_->path() + " was written by " +
-                         "another run (method, scenario or options differ)");
-    if (replay_ == nullptr && journal_ != nullptr)
-      journal_->start_segment(rating::to_string(method), fp);
+        cache_(driver.options_.rating_cache) {
+    if (cache_ != nullptr || journal_ != nullptr) init_fingerprint();
   }
 
   /// A search that asks for one config at a time gets a singleton batch,
@@ -139,26 +123,13 @@ public:
       const search::FlagConfig& base,
       const std::vector<search::FlagConfig>& candidates) override {
     // A pending SIGINT/SIGTERM surfaces here, between rounds — the last
-    // journaled evaluation is complete, so a later --resume run replays
-    // up to exactly this point.
+    // journaled rating is complete, so a later --resume run replays up to
+    // exactly this point.
     support::check_shutdown();
-    std::vector<double> out;
-    out.reserve(candidates.size());
-    // Replay prefix: recorded evaluations replay one by one, in the same
-    // canonical order they were journaled in (which is independent of the
-    // thread count that produced them).
-    std::size_t start = 0;
-    while (start < candidates.size() && replay_ != nullptr &&
-           replay_pos_ < replay_->evals.size()) {
-      out.push_back(replay_eval(base, candidates[start]));
-      ++start;
-    }
-    if (start == candidates.size()) return out;
-
     obs::ScopedSpan span("rate_batch", "rating");
     if (span.active()) {
       span.add(obs::attr("method", rating::to_string(method_)));
-      span.add(obs::attr("candidates", candidates.size() - start));
+      span.add(obs::attr("candidates", candidates.size()));
     }
 
     // Time-based methods rate the base by memoized EVAL; when the memo
@@ -169,9 +140,9 @@ public:
     if (method_ != rating::Method::kRBR &&
         memo_.find(base.key()) == memo_.end()) {
       prologue.emplace(member(base, base, /*prologue=*/true));
-      if (!prologue->from_cache) run_members({&*prologue});
+      if (prologue->source == Source::kLive) run_members({&*prologue});
       merge(prologue->delta);
-      maybe_store(*prologue);
+      record(*prologue);
       if (prologue->delta.error) {
         // The base itself cannot be rated: account the first candidate's
         // evaluation and let tune() abandon the method.
@@ -182,29 +153,27 @@ public:
     }
 
     // Members are described only now, so their tasks carry the merged
-    // prologue EVAL; a cache hit is the member's delta, so the merge loop
-    // below does not care where a result came from.
+    // prologue EVAL; a journal or cache hit is the member's delta, so the
+    // merge loop below does not care where a result came from.
     std::vector<MemberState> members;
-    members.reserve(candidates.size() - start);
-    for (std::size_t i = start; i < candidates.size(); ++i)
-      members.push_back(member(base, candidates[i], /*prologue=*/false));
+    members.reserve(candidates.size());
+    for (const search::FlagConfig& cfg : candidates)
+      members.push_back(member(base, cfg, /*prologue=*/false));
     std::vector<MemberState*> to_run;
     for (MemberState& m : members)
-      if (!m.from_cache) to_run.push_back(&m);
+      if (m.source == Source::kLive) to_run.push_back(&m);
     run_members(to_run);
 
     // Canonical merge, in candidate order. A member's error is rethrown
     // only after its own (partial) delta is applied.
-    const RatingDelta* pro = prologue ? &prologue->delta : nullptr;
+    std::vector<double> out;
+    out.reserve(members.size());
     for (MemberState& m : members) {
       merge(m.delta);
       ++evaluations_;
       DriverMetrics::get().configs_evaluated.inc();
+      record(m);
       if (m.delta.error) std::rethrow_exception(m.delta.error);
-      if (journal_ != nullptr)
-        journal_->record_eval(m.task.base_key, m.task.cfg_key, pro, m.delta);
-      pro = nullptr;  // the prologue rides along on the first record only
-      maybe_store(m);
       out.push_back(m.delta.r);
     }
     return out;
@@ -296,9 +265,14 @@ public:
   }
 
 private:
+  /// Where a member's delta comes from: rated by this run (here or in a
+  /// worker), recorded in the journal or the rating cache, or synthesized
+  /// for a worker process that never returned one.
+  enum class Source { kLive, kJournal, kCache, kLost };
+
   /// One rating of a batch. Everything it *reads* is its task (stream
-  /// seed, memo EVALs), immutable during the fan-out (the trace), or
-  /// copied in here at rating start (quarantine, validated set);
+  /// seed, memo EVALs, quarantine entries, validation verdict) or
+  /// immutable during the fan-out (the trace, the fault settings);
   /// everything it *writes* lands in `delta`, which merge() folds into
   /// the evaluator on the primary thread, in canonical candidate order.
   struct MemberState {
@@ -307,20 +281,20 @@ private:
     const search::FlagConfig* cfg = nullptr;   ///< task.cfg_key's config
     sim::SimExecutionBackend* backend = nullptr;
     std::optional<fault::GuardedExecutor> guard;
-    fault::Quarantine quarantine;     ///< copy of the shared registry
-    std::set<std::string> validated;  ///< copy of the validated set
-    std::size_t cursor = 0;           ///< member-local stream cursor
+    fault::Quarantine quarantine;  ///< seeded from task.faults
+    std::size_t cursor = 0;        ///< member-local stream cursor
     RatingDelta delta;
-    bool from_cache = false;
-    std::string cache_key;
+    Source source = Source::kLive;
+    std::string key;  ///< store key; set when a journal or cache is open
   };
 
   /// A member and its task, built from the merged state. The stream seed
   /// is a pure function of (run seed, section, base bits, candidate
   /// bits), so a candidate's measurement stream is independent of batch
   /// position, thread count, and everything rated before it; the memo
-  /// EVALs are the merged ones of the base and the candidate, all a
-  /// rating looks up. With a cache, a hit is the member's delta.
+  /// EVALs and quarantine entries are the merged ones of the base and the
+  /// candidate, all a rating looks up. A journal or cache hit is the
+  /// member's delta.
   MemberState member(const search::FlagConfig& base,
                      const search::FlagConfig& cfg, bool prologue) {
     MemberState m;
@@ -337,13 +311,18 @@ private:
     // The prologue rates (base, base) with a distinct stream from a
     // hypothetical (base, base) candidate.
     if (prologue) t.seed = support::hash_combine(t.seed, 0x70726f6c6f677565ULL);
-    const auto add_memo = [&](const std::string& key) {
-      const auto it = memo_.find(key);
-      if (it != memo_.end()) t.memo.emplace_back(key, it->second);
+    const auto add_state = [&](const std::string& key) {
+      if (const auto it = memo_.find(key); it != memo_.end())
+        t.memo.emplace_back(key, it->second);
+      const auto& entries = quarantine_.entries();
+      if (const auto it = entries.find(key); it != entries.end())
+        t.faults.push_back({key, it->second.kind, it->second.failures,
+                            it->second.quarantined});
     };
-    add_memo(t.base_key);
-    if (t.cfg_key != t.base_key) add_memo(t.cfg_key);
-    load_cached(m);
+    add_state(t.base_key);
+    if (t.cfg_key != t.base_key) add_state(t.cfg_key);
+    t.validated = validated_.count(t.cfg_key) != 0;
+    look_up(m);
     return m;
   }
 
@@ -421,8 +400,8 @@ private:
   /// loop can rethrow it at the member's canonical position, after
   /// applying the partial delta.
   void run_member(MemberState& m) {
-    m.quarantine = quarantine_;
-    m.validated = validated_;
+    for (const FaultRecord& f : m.task.faults)
+      m.quarantine.restore_failures(f.key, f.kind, f.failures, f.quarantined);
     if (driver_.options_.fault.injector != nullptr &&
         driver_.options_.fault.guard_execution) {
       m.guard.emplace(*m.backend, m.quarantine,
@@ -494,12 +473,9 @@ private:
   /// (which also quarantines the config).
   void maybe_validate(MemberState& m, double r) {
     if (!m.guard || !kValidateImprovements) return;
-    if (r <= 1.0) return;
-    const std::string& key = m.task.cfg_key;
-    if (m.validated.count(key) != 0) return;
+    if (r <= 1.0 || m.task.validated) return;
     m.guard->validate(*m.cfg, next_invocation(m));
-    m.validated.insert(key);
-    m.delta.validated.push_back(key);
+    m.delta.validated.push_back(m.task.cfg_key);
   }
 
   void observe_rating(MemberState& m, bool converged, std::size_t samples) {
@@ -642,13 +618,13 @@ private:
   }
 
   /// Fold one delta into the evaluator: the single merge step for live,
-  /// cached and replayed ratings alike. Primary thread only, canonical
+  /// cached and journaled ratings alike. Primary thread only, canonical
   /// candidate order. Quarantine counts merge by restoring the member's
   /// observed counts; two members of one batch failing on the *same* key
   /// keep the higher count rather than the sum (documented undercount —
   /// deterministic, and conservative in the direction of re-measuring).
   void merge(const RatingDelta& d) {
-    for (const RatingDelta::Fail& f : d.fails) {
+    for (const FaultRecord& f : d.fails) {
       if (f.failures > quarantine_.failures_of(f.key))
         quarantine_.restore_failures(f.key, f.kind, f.failures);
       if (f.quarantined) quarantine_.quarantine(f.key, f.kind);
@@ -672,41 +648,41 @@ private:
     costs_ += d.cost;
   }
 
-  /// Replay one recorded evaluation: merge its recorded deltas exactly as
-  /// the live path merged them (prologue first) and return the recorded
-  /// rating, without touching a backend. Once the records run out the
-  /// next rating measures live, from the state the interrupted run was in.
-  double replay_eval(const search::FlagConfig& base,
-                     const search::FlagConfig& cfg) {
-    static obs::Counter& replayed = obs::counter("journal.replayed");
-    const JournalEval& e = replay_->evals[replay_pos_++];
-    if (e.base_key != base.key() || e.cfg_key != cfg.key())
-      throw JournalError("journal " + journal_->path() +
-                         " does not match this tuning run (stale journal, "
-                         "or different seed/options)");
-    if (e.prologue) merge(*e.prologue);
-    merge(e.delta);
-    ++evaluations_;
-    DriverMetrics::get().configs_evaluated.inc();
-    replayed.inc();
-    return e.delta.r;
-  }
-
-  void load_cached(MemberState& m) {
+  /// Look the member up by its task's key: in the journal on resume,
+  /// then in the rating cache. A hit is the member's delta.
+  void look_up(MemberState& m) {
+    if (journal_ == nullptr && cache_ == nullptr) return;
+    m.key = fingerprint_.key(m.task);
+    if (journal_ != nullptr && driver_.options_.fault.resume) {
+      if (std::optional<RatingDelta> hit = journal_->lookup(m.key)) {
+        m.source = Source::kJournal;
+        m.delta = std::move(*hit);
+        return;
+      }
+    }
     if (cache_ == nullptr) return;
     const auto t0 = std::chrono::steady_clock::now();
-    m.cache_key = fingerprint_.key(m.task);
-    if (std::optional<RatingDelta> hit = cache_->lookup(m.cache_key)) {
-      m.from_cache = true;
+    if (std::optional<RatingDelta> hit = cache_->lookup(m.key)) {
+      m.source = Source::kCache;
       m.delta = std::move(*hit);
     }
     cache_wall_us_ += us_since(t0);
   }
 
-  void maybe_store(const MemberState& m) {
-    if (cache_ == nullptr || m.from_cache || m.delta.error) return;
+  /// Record a merged member: the journal keeps every delta it does not
+  /// hold yet, the rating cache only live ratings (a synthesized process
+  /// failure is the transport's verdict, not a rating). Neither keeps a
+  /// delta that rethrows: an exception's type does not survive the
+  /// encoding (an unguarded FaultError would come back as a
+  /// runtime_error), so a resume re-rates that member and throws the
+  /// original again.
+  void record(const MemberState& m) {
+    if (m.delta.error) return;
+    if (journal_ != nullptr && m.source != Source::kJournal)
+      journal_->store(m.key, m.delta);
+    if (cache_ == nullptr || m.source != Source::kLive) return;
     const auto t0 = std::chrono::steady_clock::now();
-    cache_->store(m.cache_key, m.delta);
+    cache_->store(m.key, m.delta);
     cache_wall_us_ += us_since(t0);
   }
 
@@ -791,16 +767,18 @@ private:
   /// clock, so the surviving members stay bit-identical.
   void synthesize_process_failure(MemberState& m,
                                   const proc::TaskOutcome& out) {
+    m.source = Source::kLost;
     m.delta = RatingDelta{};
     const std::string& key = m.task.cfg_key;
+    std::uint64_t failures = out.failures.size();
+    for (const FaultRecord& f : m.task.faults)
+      if (f.key == key) failures += f.failures;
     fault::FaultKind kind = fault::FaultKind::kHardCrash;
     if (!out.failures.empty() &&
         out.failures.front().cls == proc::ExitClass::kTimeout)
       kind = fault::FaultKind::kHang;
     const bool deterministic = out.failures_identical();
-    m.delta.fails.push_back(
-        {key, kind, quarantine_.failures_of(key) + out.failures.size(),
-         deterministic});
+    m.delta.fails.push_back({key, kind, failures, deterministic});
     fault::FaultEvent ev;
     ev.kind = kind;
     ev.config_key = key;
@@ -819,8 +797,7 @@ private:
 
   /// Everything a batched rating's outcome is a function of, besides its
   /// MemberTask: machine, section, trace content, run seed, rating
-  /// parameters, and the effect model's behaviour. Fault-injector
-  /// settings are not part of it.
+  /// parameters, the effect model's behaviour, and the fault layer.
   void init_fingerprint() {
     RatingCache::Fingerprint& f = fingerprint_;
     f.mix_string(driver_.machine_.name);
@@ -864,6 +841,14 @@ private:
         traits_, driver_.machine_, search::o3_config(space)));
     f.mix_double(driver_.effects_.time_multiplier(
         traits_, driver_.machine_, search::baseline_config(space)));
+    // The fault layer: which faults fire, and how the guard answers them.
+    const FaultOptions& fo = driver_.options_.fault;
+    f.mix(fo.injector != nullptr ? fo.injector->digest() : 0);
+    f.mix(fo.guard_execution ? 1 : 0);
+    f.mix_double(fo.guard.deadline_factor);
+    f.mix(fo.guard.max_retries);
+    f.mix(fo.guard.quarantine_after);
+    f.mix_double(fo.guard.backoff_fraction);
   }
 
   const TuningDriver& driver_;
@@ -884,9 +869,7 @@ private:
   double whole_program_surcharge_ = 0.0;
 
   fault::Quarantine& quarantine_;
-  TuningJournal* journal_;              ///< null = no journaling
-  const JournalSegment* replay_;        ///< null = nothing to replay
-  std::size_t replay_pos_ = 0;
+  RatingCache* journal_;  ///< null = no journaling
   /// Configs whose output digest already passed validation.
   std::set<std::string> validated_;
   /// evaluator_wall_us() at construction; publish_costs() charges the
@@ -899,10 +882,10 @@ private:
   // results do not depend on which clone rates which member.
   std::vector<std::unique_ptr<sim::SimExecutionBackend>> slots_;
   std::unique_ptr<support::ThreadPool> pool_;
-  /// Persistent rating cache; null unless configured without an injector.
-  RatingCache* cache_ = nullptr;
-  /// Run fingerprint: every cache key starts from it, and every journal
-  /// segment records it. Computed only when a cache or journal is open.
+  /// Persistent rating cache; null = none.
+  RatingCache* cache_;
+  /// Run fingerprint: every journal and cache key starts from it.
+  /// Computed only when a journal or cache is open.
   RatingCache::Fingerprint fingerprint_;
   /// Wall spent on cache lookups/stores, charged as the "cache" phase.
   double cache_wall_us_ = 0.0;
@@ -934,10 +917,11 @@ TuningDriver::TuningDriver(const workloads::Workload& workload,
   PEAK_CHECK(options_.search_threads >= 1,
              "search_threads must be at least 1");
   // Distributed rating is a transport for the batch contract, not the
-  // fault layer: injector verdicts depend on coordinator-side retry and
-  // quarantine state a remote rating cannot reproduce, and process
-  // isolation is a transport of its own. Refuse the combinations instead
-  // of silently measuring something else.
+  // fault layer: a task carries the quarantine and validation state its
+  // member reads, but a worker rebuilds the scenario from the shipped
+  // SessionSpec, which carries no injector; and process isolation is a
+  // transport of its own. Refuse the combinations instead of silently
+  // measuring something else.
   PEAK_CHECK(options_.coordinator == nullptr ||
                  options_.fault.injector == nullptr,
              "distributed tuning cannot run with a fault injector");
@@ -950,19 +934,12 @@ TuningDriver::~TuningDriver() = default;
 
 void TuningDriver::prepare_journal() {
   if (options_.fault.journal_path.empty() || journal_ != nullptr) return;
-  if (options_.fault.resume) {
-    TuningJournal::LoadStats stats;
-    replay_segments_ = TuningJournal::load(options_.fault.journal_path,
-                                           options_.fault.journal_strict,
-                                           &stats);
-    // Lenient load stopped at a corrupt mid-file line: physically drop
-    // the damaged tail before appending. Records written after it would
-    // otherwise sit behind the damage and be discarded by the next load.
-    if (stats.truncated)
-      ::truncate(options_.fault.journal_path.c_str(),
-                 static_cast<off_t>(stats.good_bytes));
-  }
-  journal_ = std::make_unique<TuningJournal>(options_.fault.journal_path);
+  using Load = RatingCache::Load;
+  const Load load = !options_.fault.resume       ? Load::kNone
+                    : options_.fault.journal_strict ? Load::kStrict
+                                                    : Load::kRequired;
+  journal_ = std::make_unique<RatingCache>(options_.fault.journal_path,
+                                           load, kJournalCounters);
 }
 
 std::string TuningDriver::rate_remote_member(const MemberTask& task) {
@@ -977,8 +954,7 @@ std::string TuningDriver::rate_remote_member(const MemberTask& task) {
              .emplace(task.method,
                       std::make_unique<Evaluator>(*this, task.method, fn,
                                                   quarantine_,
-                                                  /*journal=*/nullptr,
-                                                  /*replay=*/nullptr))
+                                                  /*journal=*/nullptr))
              .first;
   }
   return it->second->rate_remote(task);
@@ -989,13 +965,6 @@ TuningOutcome TuningDriver::tune(rating::Method method) {
                                ? mbr_instrumented_
                                : workload_.function();
   prepare_journal();
-  // On resume, each tune() call consumes one recorded segment: its evals
-  // replay instead of measuring, and the journal's existing "start" line
-  // stands in for the one a fresh segment would write (the evaluator
-  // checks the segment, or writes that line).
-  const JournalSegment* replay = replay_index_ < replay_segments_.size()
-                                     ? &replay_segments_[replay_index_++]
-                                     : nullptr;
   // Attribution path for every cost this tune() charges: the ledger's
   // machine → benchmark → section → method hierarchy. Thread-local, so
   // parallel section tuning attributes each worker's costs correctly.
@@ -1004,8 +973,7 @@ TuningOutcome TuningDriver::tune(rating::Method method) {
   obs::AttributionScope section_scope(workload_.ts_name());
   obs::AttributionScope method_scope(rating::to_string(method));
 
-  Evaluator evaluator(*this, method, fn, quarantine_, journal_.get(),
-                      replay);
+  Evaluator evaluator(*this, method, fn, quarantine_, journal_.get());
 
   search::IterativeElimination default_ie(options_.ie);
   search::SearchAlgorithm& algorithm =

@@ -30,15 +30,15 @@ class Coordinator;
 
 namespace peak::core {
 
-class TuningJournal;
-struct JournalSegment;
 class RatingCache;
 struct MemberTask;
 
 /// Fault-tolerance knobs. With no injector installed the driver's
 /// measurement path is bit-identical to the fault-oblivious one (no
 /// guarded wrapper, no validation runs); journaling alone never perturbs
-/// a run, so crash-safe resume also works for fault-free tuning.
+/// a run, so crash-safe resume also works for fault-free tuning. The
+/// injector and the guard settings are part of the run fingerprint that
+/// journal and rating-cache keys start from.
 struct FaultOptions {
   /// Fault model layered onto the execution backend; nullptr = fault-free.
   /// The injector outlives the driver (it is shared across methods and
@@ -51,14 +51,17 @@ struct FaultOptions {
   /// (only the rating windows' non-finite-sample guard remains) — used by
   /// tests and the fault-sweep bench as the "unprotected" arm.
   bool guard_execution = true;
-  /// Append-only JSONL tuning journal ("" = no journal).
+  /// Append-only JSONL tuning journal ("" = no journal): a RatingCache
+  /// file that records every delta the driver merges without an
+  /// exception, under its member's key.
   std::string journal_path;
-  /// Replay the journal at `journal_path` first, then continue live from
-  /// the last recorded evaluation — the crash-safe resume path.
+  /// Crash-safe resume: look every member up in the journal at
+  /// `journal_path` first, so a recorded rating merges and a missing one
+  /// measures. Records of another run (other keys) never hit.
   bool resume = false;
-  /// Fail resume on a corrupt mid-file journal line instead of the
-  /// default lenient policy (replay the good prefix, count the discarded
-  /// tail in `journal.corrupt_lines`, truncate, and re-measure live).
+  /// Fail resume on a damaged complete journal line instead of the
+  /// default lenient policy (skip the line, count it in
+  /// `journal.corrupt_lines`, and re-measure what it held).
   bool journal_strict = false;
 };
 
@@ -85,9 +88,10 @@ struct DriverOptions {
   /// event stream, and journal are bit-identical for every N.
   unsigned search_threads = 1;
   /// Persistent content-addressed rating cache shared across sections and
-  /// runs (not owned; may be null). Ignored whenever a fault injector is
-  /// installed — injector verdicts depend on retry/quarantine state that
-  /// is not part of the key.
+  /// runs (not owned; may be null). It stores live, error-free ratings
+  /// only, and serves them under a fault injector too: the key covers the
+  /// injector, the guard, and the quarantine and validation state a
+  /// member reads.
   RatingCache* rating_cache = nullptr;
   /// Out-of-process rating isolation (src/proc/): N >= 1 runs every batch
   /// member in a forked, supervised worker subprocess instead of a pool
@@ -106,9 +110,9 @@ struct DriverOptions {
   /// bit-identical to `search_threads N` for any fleet size, including
   /// across worker deaths (tasks from a dead worker requeue onto
   /// survivors). Mutually exclusive with `isolate_workers` and with a
-  /// fault injector — injector verdicts depend on coordinator-side
-  /// retry/quarantine state a remote rating cannot see; the constructor
-  /// refuses both combinations. Not owned; must outlive the driver.
+  /// fault injector — a worker rebuilds its scenario from the shipped
+  /// SessionSpec, which carries no injector; the constructor refuses
+  /// both combinations. Not owned; must outlive the driver.
   dist::Coordinator* coordinator = nullptr;
 };
 
@@ -181,7 +185,7 @@ public:
 private:
   class Evaluator;
 
-  /// Open the journal (and, on resume, load its segments) on first use.
+  /// Open the journal (loading its records on resume) on first use.
   void prepare_journal();
 
   const workloads::Workload& workload_;
@@ -196,10 +200,8 @@ private:
   /// Per-method evaluators of a remote rating host, built lazily on the
   /// first task of each method so a session only pays for what it rates.
   std::map<rating::Method, std::unique_ptr<Evaluator>> remote_evals_;
-  std::unique_ptr<TuningJournal> journal_;
-  /// Loaded on resume; tune() consumes one segment per call.
-  std::vector<JournalSegment> replay_segments_;
-  std::size_t replay_index_ = 0;
+  /// The journal store, shared by every tune() call of this driver.
+  std::unique_ptr<RatingCache> journal_;
 };
 
 /// Noise-free total execution time of a whole trace under one

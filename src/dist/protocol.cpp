@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "fault/fault.hpp"
 #include "support/check.hpp"
 
 namespace peak::dist {
@@ -116,7 +117,17 @@ std::string task_frame(std::uint64_t id, unsigned attempt,
     out << "{\"k\":" << jsonl::quote(key) << ",\"v\":\""
         << jsonl::hex_double(value) << "\"}";
   }
-  out << "]}";
+  out << "],\"faults\":[";
+  first = true;
+  for (const core::FaultRecord& f : task.faults) {
+    if (!first) out << ",";
+    first = false;
+    out << "{\"k\":" << jsonl::quote(f.key)
+        << ",\"kind\":" << jsonl::quote(fault::to_string(f.kind))
+        << ",\"n\":" << f.failures
+        << ",\"q\":" << (f.quarantined ? "true" : "false") << "}";
+  }
+  out << "],\"val\":" << (task.validated ? "true" : "false") << "}";
   return out.str();
 }
 
@@ -200,6 +211,14 @@ TaskFrame parse_task_frame(const jsonl::JsonValue& record) {
   for (const auto& entry : record.at("memo").as_array())
     out.task.memo.emplace_back(entry.at("k").as_string(),
                                entry.at("v").as_hex_double());
+  for (const auto& entry : record.at("faults").as_array()) {
+    const auto kind = fault::parse_fault_kind(entry.at("kind").as_string());
+    PEAK_CHECK(kind.has_value(), "dist: unknown fault kind");
+    out.task.faults.push_back({entry.at("k").as_string(), *kind,
+                               entry.at("n").as_u64(),
+                               entry.at("q").as_bool()});
+  }
+  out.task.validated = record.at("val").as_bool();
   return out;
 }
 

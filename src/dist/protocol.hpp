@@ -12,8 +12,8 @@
 ///
 /// Conversation (docs/INTERNALS.md §13):
 ///
-///   worker → coord   {"op":"hello","version":2,"name":…}
-///   coord  → worker  {"op":"session","version":2,"spec":{…}}
+///   worker → coord   {"op":"hello","version":3,"name":…}
+///   coord  → worker  {"op":"session","version":3,"spec":{…}}
 ///                    or {"op":"refuse","reason":…} then close
 ///   worker → coord   {"op":"ready"}           (scenario rebuilt, profiled)
 ///   coord  → worker  {"op":"task","id":N,"attempt":A,…}
@@ -36,8 +36,9 @@ namespace peak::dist {
 
 /// Bump on any frame-shape or SessionSpec change. Handshakes between
 /// different versions are refused, never guessed at. Version 2: the spec
-/// carries the effect seed and the profile options.
-constexpr std::uint64_t kDistProtocolVersion = 2;
+/// carries the effect seed and the profile options. Version 3: the task
+/// carries the member's quarantine entries and validation verdict.
+constexpr std::uint64_t kDistProtocolVersion = 3;
 
 // ---- frame builders (payloads; wrap with proc::write_frame) ----------
 
@@ -71,7 +72,7 @@ struct TaskFrame {
 };
 
 /// Throws support::CheckError on a malformed record (missing field, bad
-/// method name, bad config key alphabet).
+/// method name or fault kind, bad config key alphabet).
 [[nodiscard]] core::SessionSpec parse_session_spec(
     const core::jsonl::JsonValue& spec);
 [[nodiscard]] TaskFrame parse_task_frame(

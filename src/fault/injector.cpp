@@ -1,5 +1,7 @@
 #include "fault/injector.hpp"
 
+#include <bit>
+
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -124,6 +126,28 @@ void FaultInjector::script(ScriptedFault fault) {
 
 void FaultInjector::exempt(const search::FlagConfig& cfg) {
   exempt_.insert(cfg.key());
+}
+
+std::uint64_t FaultInjector::digest() const {
+  std::uint64_t h = support::stable_hash("peak.fault_injector");
+  const auto mix = [&h](std::uint64_t v) { h = support::hash_combine(h, v); };
+  for (double d : {model_.fault_prob, model_.crash_weight,
+                   model_.hang_weight, model_.miscompile_weight,
+                   model_.glitch_weight, model_.checkpoint_weight,
+                   model_.hard_crash_weight, model_.deterministic_fraction,
+                   model_.transient_fire_prob})
+    mix(std::bit_cast<std::uint64_t>(d));
+  mix(model_.seed);
+  mix(exempt_.size());
+  for (const std::string& key : exempt_) mix(support::stable_hash(key));
+  mix(scripted_.size());
+  for (const auto& [at, fault] : scripted_) {
+    mix(support::stable_hash(fault.config_key));
+    mix(fault.invocation_id);
+    mix(static_cast<std::uint64_t>(fault.kind));
+    mix(fault.sticky ? 1 : 0);
+  }
+  return h;
 }
 
 }  // namespace peak::fault

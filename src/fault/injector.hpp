@@ -15,8 +15,8 @@
 ///
 /// The injector is stateless (pure hashing, no mutable RNG): the same
 /// seed reproduces the same faults in any order, across retries, and
-/// across a crash-safe resume — which is what makes the journal replay
-/// bit-identical.
+/// across a crash-safe resume — which is what lets the journal and the
+/// rating cache key a guarded rating by its inputs and digest().
 
 #include <cstdint>
 #include <map>
@@ -92,6 +92,11 @@ public:
   void exempt(const search::FlagConfig& cfg);
 
   [[nodiscard]] const FaultModel& model() const { return model_; }
+
+  /// Digest of everything a verdict depends on — the model, the
+  /// exemptions and the scripted faults — for the run fingerprint that
+  /// rating-cache and journal keys start from.
+  [[nodiscard]] std::uint64_t digest() const;
 
 private:
   [[nodiscard]] std::uint64_t config_hash(

@@ -52,11 +52,13 @@ void Quarantine::quarantine(const std::string& config_key, FaultKind kind) {
 }
 
 void Quarantine::restore_failures(const std::string& config_key,
-                                  FaultKind kind, std::size_t failures) {
+                                  FaultKind kind, std::size_t failures,
+                                  bool quarantined) {
   std::lock_guard lock(mutex_);
   Entry& e = entries_[config_key];
   e.failures = failures;
   if (kind != FaultKind::kNone) e.kind = kind;
+  if (quarantined) e.quarantined = true;
 }
 
 std::size_t Quarantine::failures_of(const std::string& config_key) const {

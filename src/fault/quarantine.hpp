@@ -33,9 +33,9 @@ public:
   };
 
   Quarantine() = default;
-  /// Copyable (the driver's member-tuning state carries per-member
-  /// copies): the source is read under its lock; the mutex itself is not
-  /// copied.
+  /// Copyable (each rating member carries its own registry, seeded from
+  /// its task): the source is read under its lock; the mutex itself is
+  /// not copied.
   Quarantine(const Quarantine& other);
   Quarantine& operator=(const Quarantine& other);
 
@@ -52,9 +52,11 @@ public:
   /// disqualifying on the first observation).
   void quarantine(const std::string& config_key, FaultKind kind);
 
-  /// Restore a failure count verbatim (journal replay).
+  /// Restore a failure count verbatim (a merged rating delta), and with
+  /// `quarantined` the verdict too, without counting a new quarantine (a
+  /// rating member's view of the registry).
   void restore_failures(const std::string& config_key, FaultKind kind,
-                        std::size_t failures);
+                        std::size_t failures, bool quarantined = false);
 
   [[nodiscard]] std::size_t failures_of(
       const std::string& config_key) const;

@@ -14,6 +14,7 @@
 #include "dist/protocol.hpp"
 #include "dist/worker_agent.hpp"
 #include "proc/protocol.hpp"
+#include "support/check.hpp"
 #include "support/tcp.hpp"
 
 namespace peak::dist {
@@ -160,6 +161,24 @@ TEST_F(DistProtocolTest, TaskFrameRoundTripsBitExact) {
   EXPECT_EQ(back.id, 9u);
   EXPECT_EQ(back.attempt, 2u);
   EXPECT_EQ(back.task, t);
+}
+
+TEST_F(DistProtocolTest, TaskFrameCarriesFaultStateBitExact) {
+  // A guarded member reads the quarantine entries of its base and its
+  // candidate and the candidate's validation verdict; the task frame
+  // carries them, so a worker rates from the same state a slot thread
+  // would.
+  core::MemberTask t = task(38);
+  t.faults.push_back({t.base_key, fault::FaultKind::kTimerGlitch, 1, false});
+  t.faults.push_back({t.cfg_key, fault::FaultKind::kHardCrash, 3, true});
+  t.validated = true;
+  std::string frame = task_frame(4, 0, t);
+  EXPECT_EQ(parse_task_frame(parse_frame(frame)).task, t);
+
+  // An unknown fault kind makes the frame malformed.
+  frame.replace(frame.find("hard-crash"), 10, "meltdown!!");
+  EXPECT_THROW((void)parse_task_frame(parse_frame(frame)),
+               support::CheckError);
 }
 
 TEST_F(DistProtocolTest, VersionMismatchHandshakeIsRefused) {

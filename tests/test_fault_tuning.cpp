@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/journal.hpp"
 #include "core/profile.hpp"
 #include "core/tuning_driver.hpp"
 #include "fault/injector.hpp"
@@ -114,9 +113,9 @@ TEST_F(FaultTuningTest, ResumeFromTruncatedJournalContinuesLive) {
                      options);
   const TuningOutcome original = first.tune(rating::Method::kCBR);
 
-  // Simulate a kill partway through: keep the segment-start line and the
-  // first half of the eval records, plus the partial line the dying
-  // process was writing (which load() must skip).
+  // Simulate a kill partway through: keep about half the records, plus
+  // the partial line the dying process was writing (which the load must
+  // skip).
   std::vector<std::string> lines;
   {
     std::ifstream in(path);
@@ -129,7 +128,7 @@ TEST_F(FaultTuningTest, ResumeFromTruncatedJournalContinuesLive) {
     std::ofstream out(cut);
     for (std::size_t i = 0; i < 1 + (lines.size() - 1) / 2; ++i)
       out << lines[i] << '\n';
-    out << R"({"type":"eval","base":"dead)";  // no trailing newline
+    out << R"({"type":"rating","key":"dead)";  // no trailing newline
   }
 
   DriverOptions resume_options;

@@ -94,8 +94,8 @@ TEST_F(ObsResumeTest, KillAndResumeKeepsMetricsContinuous) {
   const TuningOutcome original = run(options, rating::Method::kCBR);
   const auto uninterrupted = rating_metrics();
 
-  // Kill the run partway: keep the segment-start line plus half the eval
-  // records, and the partial line the dying process was writing.
+  // Kill the run partway: keep about half the records, and the partial
+  // line the dying process was writing.
   std::vector<std::string> lines;
   {
     std::ifstream in(path);
@@ -108,7 +108,7 @@ TEST_F(ObsResumeTest, KillAndResumeKeepsMetricsContinuous) {
     std::ofstream out(cut);
     for (std::size_t i = 0; i < 1 + (lines.size() - 1) / 2; ++i)
       out << lines[i] << '\n';
-    out << R"({"type":"eval","base":"dead)";  // no trailing newline
+    out << R"({"type":"rating","key":"dead)";  // no trailing newline
   }
 
   DriverOptions resume_options;
@@ -119,8 +119,8 @@ TEST_F(ObsResumeTest, KillAndResumeKeepsMetricsContinuous) {
   EXPECT_EQ(rating_metrics(), uninterrupted)
       << "counters after kill+resume must equal the uninterrupted run's";
 
-  // The ledger reconciles too: replayed evals restore the backend's cycle
-  // breakdown, so the resumed run's attribution matches end-to-end.
+  // The ledger reconciles too: replayed ratings restore the backend's
+  // cycle breakdown, so the resumed run's attribution matches end-to-end.
   const obs::Ledger::Node root = obs::Ledger::global().snapshot();
   EXPECT_LE(obs::conservation_error(root), 1e-3);
   const obs::MetricsRegistry::Snapshot snap =

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/journal.hpp"
 #include "core/profile.hpp"
 #include "core/rating_cache.hpp"
 #include "core/tuning_driver.hpp"
@@ -31,6 +30,19 @@ std::uint64_t counter(const std::string& name) {
   const auto snap = obs::MetricsRegistry::global().snapshot();
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// A fresh algorithm per tune: RandomSearch advances its own generator.
+std::shared_ptr<search::SearchAlgorithm> make_search(
+    const std::string& name) {
+  if (name == "BE") return std::make_shared<search::BatchElimination>();
+  if (name == "CE") return std::make_shared<search::CombinedElimination>();
+  if (name == "FS")
+    return std::make_shared<search::FactorialScreening>(
+        search::FactorialScreeningOptions{.runs = 48});
+  if (name == "RS") return std::make_shared<search::RandomSearch>(40, 7);
+  if (name == "GC") return std::make_shared<search::GreedyConstruction>();
+  return nullptr;  // IE, the driver's default
 }
 
 /// Acceptance tests of batched evaluation: for every search_threads
@@ -179,26 +191,36 @@ TEST_F(ParallelBatchTest, JournalBytesIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelBatchTest, ResumeTruncatedJournalAcrossThreadCounts) {
   // A run journaled at 4 threads and killed after any record must resume
-  // to the bit-identical outcome at 1 thread and at 4: the journal is a
-  // canonical-order record of rating deltas, not a schedule, and replay
-  // merges them exactly as the live run did. The fault-free CBR run's
-  // first record of each batch carries the prologue's delta; the two
-  // injector runs add quarantine counts and fault events to the deltas.
+  // to the bit-identical outcome at 1 thread and at 4: the journal holds
+  // each merged rating delta under its member's key, not a schedule, and
+  // a resumed member that finds its key merges the recorded delta
+  // exactly as the live run did. The fault-free CBR run records each
+  // batch's prologue as a record of its own; the injector runs add
+  // quarantine counts and fault events to the deltas. BE and CE under
+  // RBR end by validating (start, best), which repeats a round-0 probe
+  // pair when `best` drops one flag: only the quarantine entries and the
+  // validation verdict in the key keep that member from replaying round
+  // 0's delta.
   Setup s = setup("SWIM");
   const fault::FaultInjector injector = sweep_injector(0xfaU);
   struct Run {
     const char* name;
     rating::Method method;
     const fault::FaultInjector* injector;
+    const char* search;
   };
-  for (const Run& run : {Run{"cbr", rating::Method::kCBR, nullptr},
-                         Run{"cbr_faults", rating::Method::kCBR, &injector},
-                         Run{"rbr_faults", rating::Method::kRBR, &injector}}) {
+  for (const Run& run :
+       {Run{"cbr", rating::Method::kCBR, nullptr, "IE"},
+        Run{"cbr_faults", rating::Method::kCBR, &injector, "IE"},
+        Run{"rbr_faults", rating::Method::kRBR, &injector, "IE"},
+        Run{"be_rbr_faults", rating::Method::kRBR, &injector, "BE"},
+        Run{"ce_rbr_faults", rating::Method::kRBR, &injector, "CE"}}) {
     SCOPED_TRACE(run.name);
     const std::string path = temp_path(
         std::string("peak_batch_journal_cut_src_") + run.name + ".jsonl");
     DriverOptions options;
     options.search_threads = 4;
+    options.search_algorithm = make_search(run.search);
     options.fault.injector = run.injector;
     options.fault.journal_path = path;
     const TuningOutcome original = tune(s, options, run.method);
@@ -218,10 +240,11 @@ TEST_F(ParallelBatchTest, ResumeTruncatedJournalAcrossThreadCounts) {
         {
           std::ofstream out(cut, std::ios::binary);
           for (std::size_t i = 0; i < keep; ++i) out << lines[i] << '\n';
-          out << R"({"type":"eval","base":"dead)";  // partial trailing line
+          out << R"({"type":"rating","key":"dead)";  // partial trailing line
         }
         DriverOptions resume_options = options;
         resume_options.search_threads = resume_threads;
+        resume_options.search_algorithm = make_search(run.search);
         resume_options.fault.journal_path = cut;
         resume_options.fault.resume = true;
         ASSERT_EQ(tune(s, resume_options, run.method), original);
@@ -248,19 +271,6 @@ std::string scenario_name(const CacheScenario& c) {
 /// Test names carry the parameter's printout, so it must not be bytes.
 void PrintTo(const CacheScenario& c, std::ostream* os) {
   *os << scenario_name(c);
-}
-
-/// A fresh algorithm per tune: RandomSearch advances its own generator.
-std::shared_ptr<search::SearchAlgorithm> make_search(
-    const std::string& name) {
-  if (name == "BE") return std::make_shared<search::BatchElimination>();
-  if (name == "CE") return std::make_shared<search::CombinedElimination>();
-  if (name == "FS")
-    return std::make_shared<search::FactorialScreening>(
-        search::FactorialScreeningOptions{.runs = 48});
-  if (name == "RS") return std::make_shared<search::RandomSearch>(40, 7);
-  if (name == "GC") return std::make_shared<search::GreedyConstruction>();
-  return nullptr;  // IE, the driver's default
 }
 
 class CacheIdentity : public ::testing::TestWithParam<CacheScenario> {};
@@ -353,24 +363,49 @@ TEST_F(ParallelBatchTest, CacheKeySeparatesSeedsAndMethods) {
   (void)first;
 }
 
-TEST_F(ParallelBatchTest, CacheDisabledUnderFaultInjection) {
-  Setup s = setup("SWIM");
-  const fault::FaultInjector injector = sweep_injector(0xfau);
-  const std::string path = temp_path("peak_rating_cache_faulty.jsonl");
-  RatingCache cache(path);
-
-  DriverOptions options;
-  options.search_threads = 2;
-  options.rating_cache = &cache;
-  options.fault.injector = &injector;
-  const std::uint64_t stores_before = counter("search.cache.store");
-  const std::uint64_t lookups_before =
-      counter("search.cache.hit") + counter("search.cache.miss");
-  (void)tune(s, options, rating::Method::kCBR);
-  EXPECT_EQ(counter("search.cache.store"), stores_before);
-  EXPECT_EQ(counter("search.cache.hit") + counter("search.cache.miss"),
-            lookups_before);
-  EXPECT_EQ(cache.size(), 0u);
+/// The cache works under a fault injector: a member's key covers the
+/// injector, the guard, and the quarantine entries and validation verdict
+/// it reads, so under every sweep seed a cold and a warm cache reproduce
+/// the uncached tune_auto() bit for bit under IE, BE and CE, and the warm
+/// rerun finds ratings. SWIM rates by CBR; ART by RBR, where BE's and
+/// CE's final validation of (start, best) repeats a round-0 pair with no
+/// memo EVAL to tell the two apart. (Ratings that abandon a method are
+/// not stored, so a warm rerun may still miss.)
+TEST_F(ParallelBatchTest, CacheIdentityUnderFaultInjection) {
+  for (const char* benchmark : {"SWIM", "ART"}) {
+    const Setup s = setup(benchmark);
+    for (std::uint64_t seed : {0xfaUL, 0xfbUL}) {
+      const fault::FaultInjector injector = sweep_injector(seed);
+      for (const char* algo : {"IE", "BE", "CE"}) {
+        const auto tune_auto = [&](unsigned threads, RatingCache* cache) {
+          DriverOptions options;
+          options.search_threads = threads;
+          options.search_algorithm = make_search(algo);
+          options.fault.injector = &injector;
+          options.rating_cache = cache;
+          TuningDriver driver(*s.workload, s.profile, s.train, machine_,
+                              effects_, options);
+          return driver.tune_auto();
+        };
+        for (unsigned threads : {1u, 2u}) {
+          const std::string run = std::string(benchmark) + "_" + algo +
+                                  "_" + std::to_string(seed) + "_t" +
+                                  std::to_string(threads);
+          SCOPED_TRACE(run);
+          const TuningOutcome plain = tune_auto(threads, nullptr);
+          const std::string path =
+              temp_path("peak_cache_faulty_" + run + ".jsonl");
+          RatingCache cold_cache(path);
+          EXPECT_EQ(tune_auto(threads, &cold_cache), plain);
+          RatingCache warm_cache(path);
+          EXPECT_EQ(warm_cache.size(), cold_cache.size());
+          const std::uint64_t hits = counter("search.cache.hit");
+          EXPECT_EQ(tune_auto(threads, &warm_cache), plain);
+          EXPECT_GT(counter("search.cache.hit"), hits);
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ParallelBatchTest, CacheFileSurvivesDamagedTrailingLine) {
@@ -395,8 +430,18 @@ TEST_F(ParallelBatchTest, CacheFileSurvivesDamagedTrailingLine) {
     std::ofstream out(path, std::ios::app | std::ios::binary);
     out << R"({"type":"rating","key":"dead)";
   }
-  RatingCache damaged(path);
-  EXPECT_EQ(damaged.size(), intact);
+  const std::uint64_t corrupt = counter("search.cache.corrupt_lines");
+  {
+    RatingCache damaged(path);
+    EXPECT_EQ(damaged.size(), intact);
+    // The next store cuts the torn bytes instead of gluing its record
+    // onto them, so the record loads and no line reads as corrupt.
+    damaged.store("after-the-tear", RatingDelta{});
+  }
+  RatingCache reloaded(path);
+  EXPECT_EQ(reloaded.size(), intact + 1);
+  EXPECT_TRUE(reloaded.lookup("after-the-tear").has_value());
+  EXPECT_EQ(counter("search.cache.corrupt_lines"), corrupt);
 }
 
 }  // namespace

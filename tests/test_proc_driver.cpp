@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/profile.hpp"
+#include "core/rating_cache.hpp"
 #include "core/tuning_driver.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
@@ -56,6 +57,23 @@ protected:
     fault::FaultModel model;
     model.fault_prob = 0.05;
     model.seed = seed;
+    fault::FaultInjector injector(model);
+    injector.exempt(search::o3_config(effects_.space()));
+    return injector;
+  }
+
+  /// 8% of configs abort() their process on every invocation.
+  fault::FaultInjector hard_crash_injector() const {
+    fault::FaultModel model;
+    model.fault_prob = 0.08;
+    model.crash_weight = 0.0;
+    model.hang_weight = 0.0;
+    model.miscompile_weight = 0.0;
+    model.glitch_weight = 0.0;
+    model.checkpoint_weight = 0.0;
+    model.hard_crash_weight = 1.0;
+    model.deterministic_fraction = 1.0;
+    model.seed = 7;
     fault::FaultInjector injector(model);
     injector.exempt(search::o3_config(effects_.space()));
     return injector;
@@ -220,19 +238,7 @@ TEST_F(ProcDriverTest, SurvivedTransientHardCrashLeavesNoTrace) {
 
 TEST_F(ProcDriverTest, DeterministicHardCrashersAreQuarantined) {
   Setup s = setup("SWIM");
-  fault::FaultModel model;
-  model.fault_prob = 0.08;
-  model.crash_weight = 0.0;
-  model.hang_weight = 0.0;
-  model.miscompile_weight = 0.0;
-  model.glitch_weight = 0.0;
-  model.checkpoint_weight = 0.0;
-  model.hard_crash_weight = 1.0;
-  model.deterministic_fraction = 1.0;
-  model.seed = 7;
-  fault::FaultInjector injector(model);
-  injector.exempt(search::o3_config(effects_.space()));
-
+  const fault::FaultInjector injector = hard_crash_injector();
   DriverOptions isolated;
   isolated.isolate_workers = 2;
   isolated.fault.injector = &injector;
@@ -243,6 +249,59 @@ TEST_F(ProcDriverTest, DeterministicHardCrashersAreQuarantined) {
   const TuningOutcome outcome = driver.tune(rating::Method::kRBR);
   EXPECT_FALSE(outcome.best_config.key().empty());
   EXPECT_GE(driver.quarantine().entries().size(), 1u);
+}
+
+TEST_F(ProcDriverTest, CrasherVerdictsAreJournaledButNeverCached) {
+  // A rating whose worker process dies on every attempt gets a delta the
+  // driver synthesizes from the transport's verdict (attempt count, exit
+  // class), not a rating: the journal records it, so a resume merges it
+  // again without rating anything, but the rating cache must not serve
+  // it to later runs. A warm rerun re-rates the crashers and still lands
+  // on the cold outcome.
+  Setup s = setup("SWIM");
+  const fault::FaultInjector injector = hard_crash_injector();
+  const std::string cache_path = temp_path("peak_proc_crash_cache.jsonl");
+  DriverOptions options;
+  options.isolate_workers = 2;
+  options.fault.injector = &injector;
+  options.fault.journal_path = temp_path("peak_proc_crash_journal.jsonl");
+  TuningOutcome cold;
+  std::vector<std::string> crashers;
+  {
+    RatingCache cache(cache_path);
+    options.rating_cache = &cache;
+    TuningDriver driver(*s.workload, s.profile, s.train, machine_, effects_,
+                        options);
+    cold = driver.tune(rating::Method::kRBR);
+    for (const auto& [key, entry] : driver.quarantine().entries())
+      if (entry.kind == fault::FaultKind::kHardCrash) crashers.push_back(key);
+  }
+  ASSERT_FALSE(crashers.empty());
+  const std::string journal = slurp(options.fault.journal_path);
+  const std::string cached = slurp(cache_path);
+  for (const std::string& key : crashers) {
+    const std::string verdict =
+        "{\"k\":\"" + key + "\",\"kind\":\"hard-crash\"";
+    EXPECT_NE(journal.find(verdict), std::string::npos) << key;
+    EXPECT_EQ(cached.find(verdict), std::string::npos) << key;
+  }
+
+  // A resume replays the crashers' verdicts with everything else.
+  DriverOptions resume = options;
+  resume.rating_cache = nullptr;
+  resume.fault.resume = true;
+  const std::uint64_t replayed = counter("journal.replayed");
+  const std::uint64_t missed = counter("journal.miss");
+  EXPECT_EQ(tune(s, resume, rating::Method::kRBR), cold);
+  EXPECT_GT(counter("journal.replayed"), replayed);
+  EXPECT_EQ(counter("journal.miss"), missed);
+
+  RatingCache warm(cache_path);
+  options.rating_cache = &warm;
+  options.fault.journal_path.clear();
+  const std::uint64_t hits = counter("search.cache.hit");
+  EXPECT_EQ(tune(s, options, rating::Method::kRBR), cold);
+  EXPECT_GT(counter("search.cache.hit"), hits);
 }
 
 TEST_F(ProcDriverTest, SigkilledWorkersMidRoundStillBitIdentical) {

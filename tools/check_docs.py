@@ -11,7 +11,10 @@ direction —
     documenting it;
   * a flag in the docs but not in --help: the docs reference a flag
     that was renamed or removed (stale docs);
-  * a subcommand in --help without a `peak <name>` heading in the docs.
+  * a subcommand in --help without a `peak <name>` heading in the docs;
+  * a subcommand the docs list (a `peak <a|b|…>` usage line or a
+    `peak <name>` heading) that --help does not: the subcommand was
+    removed (stale docs).
 
 Other docs (README.md, docs/INTERNALS.md, docs/ARCHITECTURE.md) are
 not required to document everything, but they must never reference a
@@ -37,6 +40,7 @@ import sys
 
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 SUBCOMMANDS_RE = re.compile(r"peak <([a-z|]+)>")
+HEADING_RE = re.compile(r"^#+ .*?`?peak ([a-z]+)", re.MULTILINE)
 
 #: Tokens the docs may mention that the usage text never lists:
 #: "--help" is the conventional way to ask for usage, not a flag of its
@@ -78,6 +82,14 @@ def subcommands_of(help_text):
     return set(match.group(1).split("|")) if match else set()
 
 
+def documented_subcommands(doc_text):
+    """Subcommands the docs list: usage lines and `peak X` headings."""
+    listed = set(HEADING_RE.findall(doc_text))
+    for match in SUBCOMMANDS_RE.finditer(doc_text):
+        listed |= set(match.group(1).split("|"))
+    return listed
+
+
 def diff_docs(help_text, doc_text):
     """Return a list of error strings; empty means the docs are in sync."""
     errors = []
@@ -97,6 +109,9 @@ def diff_docs(help_text, doc_text):
         if f"peak {sub}" not in doc_text:
             errors.append(f"subcommand '{sub}' has no 'peak {sub}' "
                           "section in the docs")
+    for sub in sorted(documented_subcommands(doc_text) - subcommands):
+        errors.append(f"subcommand '{sub}' is documented but not in "
+                      "--help (stale docs)")
     return errors
 
 
@@ -118,7 +133,7 @@ GOOD_HELP = """usage: peak <list|tune|worker> [options]
 """
 
 GOOD_DOC = """# The peak CLI
-Ask for usage with `--help`.
+Ask for usage with `--help`: `peak <list|tune|worker> [options]`.
 ### `peak list`
 ### `peak tune`
 `--benchmark NAME` and `--machine sparc2|p4` select the scenario;
@@ -150,6 +165,11 @@ def self_test():
     expect(GOOD_HELP,
            GOOD_DOC.replace("peak worker", "worker mode"),
            False, "missing subcommand section accepted")
+    expect(GOOD_HELP, GOOD_DOC + "### `peak app`\nWhole programs.\n",
+           False, "section of a removed subcommand accepted")
+    expect(GOOD_HELP,
+           GOOD_DOC.replace("<list|tune|worker>", "<list|tune|app|worker>"),
+           False, "usage line with a removed subcommand accepted")
     expect("no usage line here\n", "# docs\n", False,
            "help with no flags/subcommands accepted")
     # --help in the docs is the conventional invocation, never a flag

@@ -5,7 +5,6 @@
 ///   peak analyze  [--machine M]        consultant verdicts per section
 ///   peak tune     --benchmark B [--machine M] [--method X] [--csv]
 ///   peak sweep    [--machine M] [--csv|--markdown]   (the Figure 7 runs)
-///   peak app      [--machine M]        whole-application tuning
 ///   peak monitor  <host:port|port|port-file> [--once]   watch a live run
 ///   peak worker   (--connect H:P | --listen P)   serve a tuning fleet
 ///
@@ -26,13 +25,11 @@
 #include <string>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/peak.hpp"
 #include "core/profile.hpp"
 #include "core/config_store.hpp"
 #include "core/rating_cache.hpp"
 #include "core/report.hpp"
-#include "core/journal.hpp"
 #include "core/jsonl.hpp"
 #include "core/session.hpp"
 #include "core/tuning_driver.hpp"
@@ -130,7 +127,7 @@ std::optional<rating::Method> parse_method(const std::string& name) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: peak <list|analyze|tune|sweep|app|apply|monitor"
+               "usage: peak <list|analyze|tune|sweep|apply|monitor"
                "|worker> [options]\n"
                "  --benchmark NAME   (tune)\n"
                "  --machine sparc2|p4\n"
@@ -148,10 +145,11 @@ int usage() {
                "  --fault-seed S  (tune) fault injector seed\n"
                "  --no-guard      (tune) disable the guarded executor\n"
                "  --journal FILE  (tune) append-only crash-safe journal\n"
-               "  --resume        (tune) replay the journal, then continue\n"
+               "  --resume        (tune) replay the journal's ratings of this "
+               "run, rate the rest\n"
                "  --journal-strict  (tune) fail on corrupt journal lines "
                "instead of\n"
-               "                  truncating to the intact prefix\n"
+               "                  skipping them\n"
                "  --search-threads N  (tune) parallel batched probing; "
                "default = usable CPUs,\n"
                "                  N >= 1, same result for every N\n"
@@ -161,7 +159,6 @@ int usage() {
                "--search-threads N)\n"
                "  --rating-cache FILE (tune) persistent content-addressed "
                "rating cache\n"
-               "                  (ignored when --fault-prob > 0)\n"
                "  --telemetry-port N  (tune) serve /metrics /snapshot "
                "/events /healthz\n"
                "                  /quarantine /cache/stats /workers on "
@@ -419,10 +416,10 @@ core::Session session_of(const Args& args,
 int cmd_tune(const Args& args) {
   if (args.benchmark.empty()) return usage();
   if (args.distributed()) {
-    // Fault injection and quarantine verdicts depend on attempt history
-    // held coordinator-side; shipping them would break the pure-function
-    // task contract. Subprocess isolation is the same transport solved a
-    // different way. Both refuse loudly rather than silently diverge.
+    // Workers rebuild the scenario from the shipped SessionSpec, which
+    // carries no fault injector. Subprocess isolation is the same
+    // transport solved a different way. Both refuse loudly rather than
+    // silently diverge.
     if (!args.distribute.empty() && !args.workers_csv.empty()) {
       std::fprintf(stderr,
                    "--distribute and --workers are mutually exclusive\n");
@@ -431,7 +428,7 @@ int cmd_tune(const Args& args) {
     if (args.fault_prob > 0.0) {
       std::fprintf(stderr,
                    "--fault-prob cannot combine with distributed tuning "
-                   "(fault verdicts are coordinator-side state)\n");
+                   "(workers carry no fault injector)\n");
       return 2;
     }
     if (args.isolate_workers > 0) {
@@ -452,8 +449,7 @@ int cmd_tune(const Args& args) {
   const sim::FlagEffectModel& effects = session.effects();
 
   // Must outlive the driver (and the telemetry server, whose /cache/stats
-  // provider reads it); the evaluator ignores it whenever a fault
-  // injector is installed (cached ratings would be unsound there).
+  // provider reads it).
   std::optional<core::RatingCache> cache;
   if (!args.rating_cache_path.empty()) cache.emplace(args.rating_cache_path);
 
@@ -544,9 +540,13 @@ int cmd_tune(const Args& args) {
                 args.fault_prob,
                 static_cast<unsigned long long>(args.fault_seed),
                 args.no_guard ? "OFF" : "on");
-  if (!args.journal_path.empty())
-    std::printf("  journal: %s%s\n", args.journal_path.c_str(),
-                args.resume ? " (resumed)" : "");
+  if (!args.journal_path.empty() && args.resume)
+    std::printf("  journal: %s (resumed, %llu ratings replayed)\n",
+                args.journal_path.c_str(),
+                static_cast<unsigned long long>(
+                    obs::counter("journal.replayed").value()));
+  else if (!args.journal_path.empty())
+    std::printf("  journal: %s\n", args.journal_path.c_str());
   if (coordinator) {
     const dist::CoordinatorStats& stats = coordinator->stats();
     std::printf("  fleet: %zu workers (%llu tasks dispatched, %llu "
@@ -559,9 +559,8 @@ int cmd_tune(const Args& args) {
     coordinator->shutdown();
   }
   if (cache)
-    std::printf("  rating cache: %s (%zu entries%s)\n",
-                cache->path().c_str(), cache->size(),
-                args.fault_prob > 0.0 ? ", disabled under faults" : "");
+    std::printf("  rating cache: %s (%zu entries)\n",
+                cache->path().c_str(), cache->size());
   const auto& quarantine = driver.quarantine();
   if (quarantine.size() > 0 || args.fault_prob > 0.0) {
     std::printf("  quarantined configs: %zu\n", quarantine.size());
@@ -783,19 +782,6 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-int cmd_app(const Args& args) {
-  std::vector<std::unique_ptr<workloads::Workload>> owned;
-  std::vector<const workloads::Workload*> sections;
-  for (const std::string& name : workloads::figure7_benchmarks()) {
-    owned.push_back(workloads::make_workload(name));
-    sections.push_back(owned.back().get());
-  }
-  const core::ApplicationOutcome outcome =
-      core::tune_application(sections, machine_of(args), {}, 4);
-  std::cout << core::to_markdown(outcome);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -960,8 +946,6 @@ int main(int argc, char** argv) {
     rc = cmd_tune(args);
   else if (args.command == "sweep")
     rc = cmd_sweep(args);
-  else if (args.command == "app")
-    rc = cmd_app(args);
   else if (args.command == "apply")
     rc = cmd_apply(args);
   else if (args.command == "monitor")
