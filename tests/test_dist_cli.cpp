@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,12 @@ struct CliCase {
   const char* benchmark;
   const char* machine;
 };
+
+/// Without a printer gtest lists the case as the bytes of its two
+/// pointers, so every build (and every ASLR load) names the tests anew.
+void PrintTo(const CliCase& c, std::ostream* os) {
+  *os << c.benchmark << " on " << c.machine;
+}
 
 class PeakTuneIdentity : public ::testing::TestWithParam<CliCase> {
 protected:
