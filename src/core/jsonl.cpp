@@ -2,23 +2,33 @@
 
 #include <bit>
 #include <cctype>
-#include <cstdio>
 
 #include "support/check.hpp"
 
 namespace peak::core::jsonl {
 
 std::string hex_double(double d) {
-  char buf[17];
-  std::snprintf(
-      buf, sizeof buf, "%016llx",
-      static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(d)));
-  return buf;
+  std::string out;
+  append_hex_double(out, d);
+  return out;
+}
+
+void append_hex_double(std::string& out, double d) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(d);
+  char buf[16];
+  for (int i = 15; i >= 0; --i, bits >>= 4) buf[i] = kDigits[bits & 0xf];
+  out.append(buf, sizeof buf);
 }
 
 std::string quote(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
+  append_quoted(out, s);
+  return out;
+}
+
+void append_quoted(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -30,7 +40,6 @@ std::string quote(const std::string& s) {
     }
   }
   out += '"';
-  return out;
 }
 
 const JsonValue& JsonValue::at(const std::string& key) const {

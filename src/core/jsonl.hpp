@@ -25,9 +25,13 @@ namespace peak::core::jsonl {
 /// IEEE-754 bit pattern of `d` as 16 hex digits — the exact-round-trip
 /// double encoding every PEAK record uses.
 [[nodiscard]] std::string hex_double(double d);
+/// Appends hex_double(d) to `out`.
+void append_hex_double(std::string& out, double d);
 
 /// JSON string literal with the escapes the reader understands.
 [[nodiscard]] std::string quote(const std::string& s);
+/// Appends quote(s) to `out`.
+void append_quoted(std::string& out, std::string_view s);
 
 class JsonValue;
 using JsonObject = std::map<std::string, JsonValue>;

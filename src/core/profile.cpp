@@ -88,13 +88,23 @@ ProfileData profile_workload(const workloads::Workload& workload,
   ir::BytecodeVm vm(program);
   std::map<ir::VarId, std::set<std::uint64_t>> content_hashes;
   double total_cycles = 0.0;
+  // Where the context fixes the execution path (the contract the sim
+  // backend's base-run cache keys on), an invocation's cycles and block
+  // counts are those of the first one with its context, which ran the VM.
+  struct ContextRun {
+    double cycles;
+    std::size_t profile;  ///< its entry in block_profiles
+  };
+  std::map<std::vector<double>, ContextRun> run_of_context;
+  std::size_t vm_runs = 0;
 
   const std::size_t detailed =
       std::min(options.detailed_invocations, trace.invocations.size());
-  if (span.active()) span.add(obs::attr("invocations", detailed));
   ir::Memory memory = ir::Memory::for_function(instrumented);
   for (std::size_t i = 0; i < detailed; ++i) {
     const sim::Invocation& inv = trace.invocations[i];
+    // Bound even when the run is reused: the bounds and hashes below read
+    // every invocation's image.
     inv.bind(memory);
 
     // Observed parameter bounds seed the symbolic range analysis.
@@ -116,11 +126,29 @@ ProfileData profile_workload(const workloads::Workload& workload,
       content_hashes[cv.var].insert(hash_array(memory.array(cv.var)));
     }
 
-    ir::RunResult run = vm.run(memory);
-    total_cycles += run.cycles;
-    observed_times.push_back(run.cycles * inv.irregularity);
-    // counters hold per-block entries (counter_id == BlockId).
-    block_profiles.push_back(std::move(run.counters));
+    double cycles = 0.0;
+    const auto seen = inv.context_determines_time
+                          ? run_of_context.find(inv.context)
+                          : run_of_context.end();
+    if (seen != run_of_context.end()) {
+      cycles = seen->second.cycles;
+      block_profiles.push_back(block_profiles[seen->second.profile]);
+    } else {
+      ir::RunResult run = vm.run(memory);
+      ++vm_runs;
+      cycles = run.cycles;
+      if (inv.context_determines_time)
+        run_of_context.emplace(inv.context,
+                               ContextRun{cycles, block_profiles.size()});
+      // counters hold per-block entries (counter_id == BlockId).
+      block_profiles.push_back(std::move(run.counters));
+    }
+    total_cycles += cycles;
+    observed_times.push_back(cycles * inv.irregularity);
+  }
+  if (span.active()) {
+    span.add(obs::attr("invocations", detailed));
+    span.add(obs::attr("vm_runs", vm_runs));
   }
 
   for (const auto& [var, hashes] : content_hashes) {

@@ -124,6 +124,7 @@ std::string RatingCache::Fingerprint::hex() const {
 RatingCache::RatingCache(std::string path, Load load,
                          const StoreCounters& counters)
     : path_(std::move(path)),
+      keys_only_(load == Load::kNone),
       hits_(obs::counter(counters.hit)),
       misses_(obs::counter(counters.miss)),
       stores_(obs::counter(counters.store)) {
@@ -173,6 +174,7 @@ RatingCache::~RatingCache() {
 std::optional<RatingDelta> RatingCache::lookup(
     const std::string& key) const {
   std::lock_guard lock(mutex_);
+  PEAK_CHECK(!keys_only_, "a fresh journal is appended to, not looked up");
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     misses_.inc();
@@ -184,12 +186,18 @@ std::optional<RatingDelta> RatingCache::lookup(
 
 void RatingCache::store(const std::string& key, const RatingDelta& delta) {
   std::lock_guard lock(mutex_);
-  if (!entries_.emplace(key, delta).second) return;
+  const bool fresh = keys_only_ ? keys_.insert(key).second
+                                : entries_.emplace(key, delta).second;
+  if (!fresh) return;
   // The delta's fields sit at the record's top level, next to its type
-  // and key, which keeps the line layout of every existing cache file.
-  const std::string line = "{\"type\":\"rating\",\"key\":" +
-                           jsonl::quote(key) + "," +
-                           delta.encode().substr(1) + "\n";
+  // and key, which keeps the line layout of every existing cache file:
+  // the ',' takes the place of the delta's own '{'.
+  std::string line = "{\"type\":\"rating\",\"key\":";
+  jsonl::append_quoted(line, key);
+  const std::size_t brace = line.size();
+  delta.encode_to(line);
+  line[brace] = ',';
+  line += '\n';
   // flock serializes whole-line appends against every other writer —
   // other processes, and other RatingCache instances in this process
   // (flock is per open file description, and each instance holds its
@@ -209,7 +217,7 @@ void RatingCache::store(const std::string& key, const RatingDelta& delta) {
 
 std::size_t RatingCache::size() const {
   std::lock_guard lock(mutex_);
-  return entries_.size();
+  return keys_only_ ? keys_.size() : entries_.size();
 }
 
 }  // namespace peak::core

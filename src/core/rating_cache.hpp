@@ -32,6 +32,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/rating_delta.hpp"
 #include "support/check.hpp"
@@ -104,7 +105,8 @@ public:
     kIfPresent,  ///< rating cache: a missing file is a cold cache
     kRequired,   ///< resumed journal: an unreadable file throws JournalError
     kStrict,     ///< as kRequired, and a damaged line throws JournalError
-    kNone,       ///< journal of a fresh run: only appended to
+    kNone,       ///< journal of a fresh run: only appended to, so it
+                 ///< keeps the keys it stored and not their deltas
   };
 
   /// Opens `path` for appending, creating it if absent, and loads any
@@ -117,6 +119,7 @@ public:
   RatingCache& operator=(const RatingCache&) = delete;
 
   /// Delta stored under `key`, if present. Bumps the hit / miss counter.
+  /// A Load::kNone store cannot be looked up.
   [[nodiscard]] std::optional<RatingDelta> lookup(
       const std::string& key) const;
 
@@ -129,11 +132,13 @@ public:
 
 private:
   std::string path_;
+  bool keys_only_;  ///< Load::kNone: keys_, not entries_
   obs::Counter& hits_;
   obs::Counter& misses_;
   obs::Counter& stores_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, RatingDelta> entries_;
+  std::unordered_set<std::string> keys_;  ///< first writer wins
   /// POSIX fd (O_RDWR | O_APPEND): flock() needs a file descriptor and
   /// O_APPEND makes each single write() land atomically at the current
   /// end of file — std::ofstream exposes neither guarantee.

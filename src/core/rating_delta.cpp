@@ -1,6 +1,7 @@
 #include "core/rating_delta.hpp"
 
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 #include "support/check.hpp"
 
@@ -8,11 +9,43 @@ namespace peak::core {
 
 namespace {
 
-using jsonl::hex_double;
 using jsonl::JsonValue;
-using jsonl::quote;
 
 const char* to_bool(bool b) { return b ? "true" : "false"; }
+
+/// A JSON string of `s`, and of the bit pattern of `d`, for Writer.
+struct Quoted {
+  std::string_view s;
+};
+struct Hex {
+  double d;
+};
+
+/// Appends to one string: encode() runs on every journal and cache
+/// append, where a std::ostringstream cost more than the write itself.
+struct Writer {
+  std::string& out;
+
+  Writer& operator<<(std::string_view s) {
+    out.append(s);
+    return *this;
+  }
+  Writer& operator<<(std::uint64_t v) {
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+  Writer& operator<<(Quoted q) {
+    jsonl::append_quoted(out, q.s);
+    return *this;
+  }
+  Writer& operator<<(Hex h) {
+    out += '"';
+    jsonl::append_hex_double(out, h.d);
+    out += '"';
+    return *this;
+  }
+};
 
 fault::FaultKind fault_kind(const JsonValue& j) {
   const auto kind = fault::parse_fault_kind(j.as_string());
@@ -23,19 +56,25 @@ fault::FaultKind fault_kind(const JsonValue& j) {
 }  // namespace
 
 std::string RatingDelta::encode() const {
-  std::ostringstream os;
-  os << "{\"r\":" << quote(hex_double(r));
+  std::string out;
+  encode_to(out);
+  return out;
+}
+
+void RatingDelta::encode_to(std::string& out) const {
+  Writer os{out};
+  os << "{\"r\":" << Hex{r};
   if (!memo.empty()) {
     os << ",\"memo\":[";
     for (std::size_t i = 0; i < memo.size(); ++i)
-      os << (i ? "," : "") << "{\"k\":" << quote(memo[i].first)
-         << ",\"v\":" << quote(hex_double(memo[i].second)) << "}";
+      os << (i ? "," : "") << "{\"k\":" << Quoted{memo[i].first}
+         << ",\"v\":" << Hex{memo[i].second} << "}";
     os << "]";
   }
   if (!validated.empty()) {
     os << ",\"validated\":[";
     for (std::size_t i = 0; i < validated.size(); ++i)
-      os << (i ? "," : "") << quote(validated[i]);
+      os << (i ? "," : "") << Quoted{validated[i]};
     os << "]";
   }
   if (!robs.empty()) {
@@ -48,8 +87,8 @@ std::string RatingDelta::encode() const {
   if (!fails.empty()) {
     os << ",\"fails\":[";
     for (std::size_t i = 0; i < fails.size(); ++i)
-      os << (i ? "," : "") << "{\"k\":" << quote(fails[i].key)
-         << ",\"kind\":" << quote(fault::to_string(fails[i].kind))
+      os << (i ? "," : "") << "{\"k\":" << Quoted{fails[i].key}
+         << ",\"kind\":" << Quoted{fault::to_string(fails[i].kind)}
          << ",\"n\":" << fails[i].failures
          << ",\"q\":" << to_bool(fails[i].quarantined) << "}";
     os << "]";
@@ -58,8 +97,8 @@ std::string RatingDelta::encode() const {
     os << ",\"events\":[";
     for (std::size_t i = 0; i < events.size(); ++i) {
       const fault::FaultEvent& ev = events[i];
-      os << (i ? "," : "") << "{\"kind\":" << quote(fault::to_string(ev.kind))
-         << ",\"cfg\":" << quote(ev.config_key)
+      os << (i ? "," : "") << "{\"kind\":" << Quoted{fault::to_string(ev.kind)}
+         << ",\"cfg\":" << Quoted{ev.config_key}
          << ",\"inv\":" << ev.invocation_id << ",\"attempt\":" << ev.attempt
          << ",\"gave_up\":" << to_bool(ev.gave_up)
          << ",\"q\":" << to_bool(ev.quarantined) << "}";
@@ -68,14 +107,14 @@ std::string RatingDelta::encode() const {
   }
   os << ",\"inv\":" << invocations << ",\"rs\":" << ratings_started
      << ",\"rx\":" << exhausted
-     << ",\"whl\":" << quote(hex_double(whole_program_surcharge));
-  if (mbr_residual) os << ",\"mbr\":" << quote(hex_double(*mbr_residual));
-  os << ",\"cost\":{\"acc\":" << quote(hex_double(cost.accumulated))
-     << ",\"timed\":" << quote(hex_double(cost.timed))
-     << ",\"pre\":" << quote(hex_double(cost.precondition))
-     << ",\"ckpt\":" << quote(hex_double(cost.checkpoint))
-     << ",\"faulted\":" << quote(hex_double(cost.faulted))
-     << ",\"retry\":" << quote(hex_double(cost.retry))
+     << ",\"whl\":" << Hex{whole_program_surcharge};
+  if (mbr_residual) os << ",\"mbr\":" << Hex{*mbr_residual};
+  os << ",\"cost\":{\"acc\":" << Hex{cost.accumulated}
+     << ",\"timed\":" << Hex{cost.timed}
+     << ",\"pre\":" << Hex{cost.precondition}
+     << ",\"ckpt\":" << Hex{cost.checkpoint}
+     << ",\"faulted\":" << Hex{cost.faulted}
+     << ",\"retry\":" << Hex{cost.retry}
      << ",\"saves\":" << cost.saves << ",\"restores\":" << cost.restores
      << ",\"ckpt_bytes\":" << cost.checkpoint_bytes << "}";
   if (error) {
@@ -96,11 +135,10 @@ std::string RatingDelta::encode() const {
       what = e.what();
     } catch (...) {
     }
-    os << ",\"err\":{\"tag\":" << quote(tag) << ",\"what\":" << quote(what)
+    os << ",\"err\":{\"tag\":" << Quoted{tag} << ",\"what\":" << Quoted{what}
        << "}";
   }
   os << "}";
-  return os.str();
 }
 
 RatingDelta RatingDelta::decode(const JsonValue& j) {

@@ -112,6 +112,8 @@ struct RatingDelta {
   /// One JSON object on one line. Empty lists, a missing residual and a
   /// missing error are omitted.
   [[nodiscard]] std::string encode() const;
+  /// Appends encode()'s object to `out`.
+  void encode_to(std::string& out) const;
   /// Inverse of encode(). Keys it does not know are ignored, so a record
   /// may carry the delta's fields next to its own. Throws std::exception
   /// (support::CheckError, std::invalid_argument, std::out_of_range) on

@@ -1,6 +1,7 @@
 #include "core/session.hpp"
 
 #include "dist/coordinator.hpp"
+#include "obs/trace.hpp"
 #include "search/opt_config.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
@@ -24,16 +25,30 @@ Session::Session(SessionSpec spec, const workloads::Workload* workload,
              "session: unknown dataset '" + spec_.dataset + "'");
 }
 
+namespace {
+
+workloads::Trace generate(const workloads::Workload& workload,
+                          workloads::DataSet dataset, std::uint64_t seed) {
+  obs::ScopedSpan span("trace", "workloads");
+  if (span.active()) {
+    span.add(obs::attr("section", workload.full_name()));
+    span.add(obs::attr("dataset", workloads::to_string(dataset)));
+  }
+  return workload.trace(dataset, seed);
+}
+
+}  // namespace
+
 const workloads::Trace& Session::tune_trace() const {
   if (spec_.dataset == "ref") return ref_trace();
   if (!train_)
-    train_ = workload_->trace(workloads::DataSet::kTrain, spec_.trace_seed);
+    train_ = generate(*workload_, workloads::DataSet::kTrain, spec_.trace_seed);
   return *train_;
 }
 
 const workloads::Trace& Session::ref_trace() const {
   if (!ref_)
-    ref_ = workload_->trace(workloads::DataSet::kRef, spec_.trace_seed);
+    ref_ = generate(*workload_, workloads::DataSet::kRef, spec_.trace_seed);
   return *ref_;
 }
 
@@ -59,12 +74,17 @@ TuningDriver Session::driver(DriverOptions options) const {
 }
 
 double Session::ref_improvement_pct(const search::FlagConfig& config) const {
+  obs::ScopedSpan span("ref_eval", "session");
+  if (span.active()) span.add(obs::attr("section", workload_->full_name()));
+  // Every pass prices the same invocations, so only the first computes
+  // base runs; the passes after it hit its table. expected_time() draws
+  // no noise, so a shared backend prices each pass as a fresh one would.
+  if (!ref_backend_)
+    ref_backend_ = trace_backend(*workload_, ref_trace(), machine_, effects_);
   if (!ref_o3_time_)
-    ref_o3_time_ =
-        expected_trace_time(*workload_, ref_trace(), machine_, effects_,
-                            search::o3_config(effects_.space()));
-  const double tuned =
-      expected_trace_time(*workload_, ref_trace(), machine_, effects_, config);
+    ref_o3_time_ = expected_trace_time(*ref_backend_, ref_trace(),
+                                       search::o3_config(effects_.space()));
+  const double tuned = expected_trace_time(*ref_backend_, ref_trace(), config);
   PEAK_CHECK(tuned > 0.0, "degenerate ref evaluation");
   return (*ref_o3_time_ / tuned - 1.0) * 100.0;
 }

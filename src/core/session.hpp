@@ -51,9 +51,9 @@ struct SessionSpec {
 };
 
 /// The scenario of one spec: the machine, the effect model, both traces
-/// and the profile, and every driver that tunes or rates in them. Traces and
-/// profile are built on first use (not thread-safe), so `peak apply`
-/// runs no profile and a worker generates no ref trace.
+/// and the profile, and every driver that tunes or rates in them. Traces,
+/// profile and the ref backend are built on first use (not thread-safe),
+/// so `peak apply` runs no profile and a worker generates no ref trace.
 class Session {
 public:
   /// Resolves the spec's benchmark and machine by name, as `peak worker`
@@ -87,7 +87,8 @@ public:
   [[nodiscard]] TuningDriver driver(DriverOptions options) const;
 
   /// Improvement of `config` over -O3 on the ref trace, percent: what
-  /// `peak tune` reports and `peak apply` re-measures.
+  /// `peak tune` reports and `peak apply` re-measures. All passes of a
+  /// session run on one backend, so only the first computes base runs.
   [[nodiscard]] double ref_improvement_pct(
       const search::FlagConfig& config) const;
 
@@ -104,6 +105,8 @@ private:
   mutable std::optional<workloads::Trace> train_;
   mutable std::optional<workloads::Trace> ref_;
   mutable std::optional<ProfileData> profile_;
+  /// Prices every ref pass of ref_improvement_pct().
+  mutable std::unique_ptr<sim::SimExecutionBackend> ref_backend_;
   mutable std::optional<double> ref_o3_time_;
   std::unique_ptr<TuningDriver> rater_;  ///< rate()'s driver
 };

@@ -46,6 +46,7 @@ struct DriverMetrics {
   obs::Histogram& window_occupancy = obs::histogram(
       "rating.window_samples", {10, 20, 40, 80, 160, 320, 640});
   obs::Gauge& mbr_residual = obs::gauge("rating.mbr_residual");
+  obs::Counter& quarantined = obs::counter("fault.quarantined");
 
   static DriverMetrics& get() {
     static DriverMetrics metrics;
@@ -623,16 +624,18 @@ private:
   /// observed counts; two members of one batch failing on the *same* key
   /// keep the higher count rather than the sum (documented undercount —
   /// deterministic, and conservative in the direction of re-measuring).
+  /// A quarantine is counted here, once, whichever transport rated it.
   void merge(const RatingDelta& d) {
+    DriverMetrics& dm = DriverMetrics::get();
     for (const FaultRecord& f : d.fails) {
       if (f.failures > quarantine_.failures_of(f.key))
         quarantine_.restore_failures(f.key, f.kind, f.failures);
-      if (f.quarantined) quarantine_.quarantine(f.key, f.kind);
+      if (f.quarantined && quarantine_.quarantine(f.key, f.kind))
+        dm.quarantined.inc();
     }
     for (const auto& [key, eval] : d.memo) memo_.emplace(key, eval);
     for (const std::string& key : d.validated) validated_.insert(key);
 
-    DriverMetrics& dm = DriverMetrics::get();
     dm.invocations.inc(d.invocations);
     dm.ratings_started.inc(d.ratings_started);
     for (const RatingDelta::RatingObs& o : d.robs) {
@@ -1057,19 +1060,31 @@ TuningOutcome TuningDriver::tune_auto() {
   return {};
 }
 
+std::unique_ptr<sim::SimExecutionBackend> trace_backend(
+    const workloads::Workload& workload, const workloads::Trace& trace,
+    const sim::MachineModel& machine, const sim::FlagEffectModel& effects) {
+  sim::TsTraits traits = workload.traits();
+  traits.workload_scale = trace.workload_scale;
+  return std::make_unique<sim::SimExecutionBackend>(
+      workload.function(), traits, machine, effects, /*seed=*/7);
+}
+
+double expected_trace_time(sim::SimExecutionBackend& backend,
+                           const workloads::Trace& trace,
+                           const search::FlagConfig& config) {
+  double total = 0.0;
+  for (const sim::Invocation& inv : trace.invocations)
+    total += backend.expected_time(config, inv);
+  return total;
+}
+
 double expected_trace_time(const workloads::Workload& workload,
                            const workloads::Trace& trace,
                            const sim::MachineModel& machine,
                            const sim::FlagEffectModel& effects,
                            const search::FlagConfig& config) {
-  sim::TsTraits traits = workload.traits();
-  traits.workload_scale = trace.workload_scale;
-  sim::SimExecutionBackend backend(workload.function(), traits, machine,
-                                   effects, /*seed=*/7);
-  double total = 0.0;
-  for (const sim::Invocation& inv : trace.invocations)
-    total += backend.expected_time(config, inv);
-  return total;
+  return expected_trace_time(*trace_backend(workload, trace, machine, effects),
+                             trace, config);
 }
 
 }  // namespace peak::core

@@ -204,8 +204,21 @@ private:
   std::unique_ptr<RatingCache> journal_;
 };
 
+/// A backend that prices `trace`: the workload's traits at the trace's
+/// scale. Passes over the trace under any number of configurations may
+/// share it, and only the first computes base runs.
+std::unique_ptr<sim::SimExecutionBackend> trace_backend(
+    const workloads::Workload& workload, const workloads::Trace& trace,
+    const sim::MachineModel& machine, const sim::FlagEffectModel& effects);
+
 /// Noise-free total execution time of a whole trace under one
-/// configuration — the ground truth used to report final improvements.
+/// configuration — the ground truth used to report final improvements —
+/// on a trace_backend() of that trace.
+double expected_trace_time(sim::SimExecutionBackend& backend,
+                           const workloads::Trace& trace,
+                           const search::FlagConfig& config);
+
+/// As above, on a fresh backend.
 double expected_trace_time(const workloads::Workload& workload,
                            const workloads::Trace& trace,
                            const sim::MachineModel& machine,

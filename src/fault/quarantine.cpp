@@ -1,7 +1,5 @@
 #include "fault/quarantine.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace peak::fault {
 
 Quarantine::Quarantine(const Quarantine& other)
@@ -37,18 +35,17 @@ bool Quarantine::record_failure(const std::string& config_key,
   e.kind = kind;
   if (e.quarantined || e.failures < threshold) return false;
   e.quarantined = true;
-  obs::counter("fault.quarantined").inc();
   return true;
 }
 
-void Quarantine::quarantine(const std::string& config_key, FaultKind kind) {
+bool Quarantine::quarantine(const std::string& config_key, FaultKind kind) {
   std::lock_guard lock(mutex_);
   Entry& e = entries_[config_key];
-  if (e.quarantined) return;
+  if (e.quarantined) return false;
   e.quarantined = true;
   e.kind = kind;
   if (e.failures == 0) e.failures = 1;
-  obs::counter("fault.quarantined").inc();
+  return true;
 }
 
 void Quarantine::restore_failures(const std::string& config_key,

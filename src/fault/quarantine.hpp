@@ -7,7 +7,9 @@
 /// (miscompiled output). The search algorithms consult the registry
 /// through ConfigEvaluator::excluded() and skip quarantined flag sets, so
 /// the search degrades gracefully instead of aborting; core::ConfigStore
-/// persists the entries beside the tuned configurations.
+/// persists the entries beside the tuned configurations. Each rating
+/// member decides on its own copy, so the registry counts nothing: the
+/// driver counts `fault.quarantined` once, where a member's delta merges.
 ///
 /// All operations take an internal mutex: the telemetry server's
 /// /quarantine endpoint reads the table (via snapshot()) from its worker
@@ -49,12 +51,13 @@ public:
                       std::size_t threshold);
 
   /// Quarantine immediately (validation failures: a wrong answer is
-  /// disqualifying on the first observation).
-  void quarantine(const std::string& config_key, FaultKind kind);
+  /// disqualifying on the first observation). Returns true when the
+  /// config was not quarantined before.
+  bool quarantine(const std::string& config_key, FaultKind kind);
 
   /// Restore a failure count verbatim (a merged rating delta), and with
-  /// `quarantined` the verdict too, without counting a new quarantine (a
-  /// rating member's view of the registry).
+  /// `quarantined` the verdict too (a rating member's view of the
+  /// registry).
   void restore_failures(const std::string& config_key, FaultKind kind,
                         std::size_t failures, bool quarantined = false);
 

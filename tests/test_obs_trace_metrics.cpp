@@ -381,10 +381,42 @@ TEST(Integration, DriverEmitsSpansWhenTracing) {
   }
   std::set<std::string> names;
   for (const TraceEvent& e : sink->events()) names.insert(e.name);
+  EXPECT_TRUE(names.count("trace"));
   EXPECT_TRUE(names.count("profile"));
   EXPECT_TRUE(names.count("tune"));
   EXPECT_TRUE(names.count("rate_batch"));
   EXPECT_TRUE(names.count("probe_batch"));
+  EXPECT_TRUE(names.count("ref_eval"));
+}
+
+std::string arg(const TraceEvent& e, const std::string& key) {
+  for (const Attr& a : e.args)
+    if (a.key == key) return a.value;
+  return "<none>";
+}
+
+TEST(Integration, DetailedPassRunsTheVmOncePerContext) {
+  // SWIM.calc3 has one context; MGRID.resid has a new one at every
+  // invocation; ART.match's time does not follow from its context.
+  const std::pair<const char*, const char*> cases[] = {
+      {"SWIM", "1"}, {"MGRID", "48"}, {"ART", "48"}};
+  for (const auto& [name, vm_runs] : cases) {
+    auto sink = std::make_shared<VectorSink>();
+    auto w = workloads::make_workload(name);
+    const workloads::Trace train = w->trace(workloads::DataSet::kTrain, 42);
+    {
+      SinkGuard guard(sink);
+      (void)core::profile_workload(*w, train, sim::sparc2());
+    }
+    std::size_t passes = 0;
+    for (const TraceEvent& e : sink->events()) {
+      if (e.name != "detailed_pass") continue;
+      ++passes;
+      EXPECT_EQ(arg(e, "invocations"), "48") << name;
+      EXPECT_EQ(arg(e, "vm_runs"), vm_runs) << name;
+    }
+    EXPECT_EQ(passes, 1u) << name;
+  }
 }
 
 }  // namespace

@@ -207,6 +207,26 @@ TEST_F(ProcDriverTest, IsolatedOutcomeIdenticalUnderStochasticFaults) {
   }
 }
 
+TEST_F(ProcDriverTest, EachQuarantineIsCountedOnceOnEveryTransport) {
+  // A member's own registry records its quarantines uncounted; the merge
+  // counts each once, whether the member rated in a thread or a child.
+  Setup s = setup("SWIM");
+  const fault::FaultInjector injector = sweep_injector(0xfaU);
+  obs::Counter& quarantined = obs::counter("fault.quarantined");
+  for (std::size_t workers : {0, 2}) {
+    DriverOptions options;
+    options.fault.injector = &injector;
+    options.isolate_workers = workers;
+    TuningDriver driver(*s.workload, s.profile, s.train, machine_, effects_,
+                        options);
+    const std::uint64_t before = quarantined.value();
+    (void)driver.tune(rating::Method::kCBR);
+    EXPECT_GT(driver.quarantine().size(), 0u) << workers << " workers";
+    EXPECT_EQ(quarantined.value() - before, driver.quarantine().size())
+        << workers << " workers";
+  }
+}
+
 TEST_F(ProcDriverTest, SurvivedTransientHardCrashLeavesNoTrace) {
   Setup s = setup("SWIM");
   // Crash-free comparator with the same guarded-rating wiring: an

@@ -103,6 +103,10 @@ struct HostileCase {
   std::function<std::string(std::uint64_t held, std::size_t tasks)> frame;
 };
 
+/// Without a printer gtest lists the case as its bytes, pointers
+/// included, so every ASLR load names the tests anew.
+void PrintTo(const HostileCase& c, std::ostream* os) { *os << c.name; }
+
 class DistHostileFrames : public ::testing::TestWithParam<HostileCase> {};
 
 TEST_P(DistHostileFrames, WorkerIsDroppedAndTheRoundEndsOnGoodOutcomes) {
