@@ -457,9 +457,8 @@ int main() {
   std::cout << "\n";
   print_telemetry_bench(telemetry);
 
-  // Also after the snapshot: worker forks feed proc.* counters and wall-
-  // driven heartbeat gaps into the registry, which must stay out of the
-  // drift-compared metrics section.
+  // Also after the snapshot: worker forks feed proc.* counters into the
+  // registry, which must stay out of the drift-compared metrics section.
   const bench::CrashSweepResult crashes = bench::run_crash_sweep();
   std::cout << "\n";
   bench::print_crash_sweep(crashes, std::cout);

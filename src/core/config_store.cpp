@@ -9,14 +9,6 @@ namespace peak::core {
 
 namespace {
 
-std::optional<rating::Method> method_from(const std::string& name) {
-  for (rating::Method m :
-       {rating::Method::kCBR, rating::Method::kMBR, rating::Method::kRBR,
-        rating::Method::kAVG, rating::Method::kWHL})
-    if (name == rating::to_string(m)) return m;
-  return std::nullopt;
-}
-
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r");
   if (begin == std::string::npos) return "";
@@ -92,7 +84,7 @@ bool ConfigStore::deserialize(const std::string& text) {
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
     if (key == "method") {
-      const auto m = method_from(value);
+      const auto m = rating::parse_method(value);
       if (!m) return false;
       entry.method = *m;
     } else if (key == "improvement") {

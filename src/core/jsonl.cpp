@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cctype>
+#include <charconv>
 
 #include "support/check.hpp"
 
@@ -79,8 +80,13 @@ const JsonArray& JsonValue::as_array() const {
 }
 
 double JsonValue::as_hex_double() const {
-  return std::bit_cast<double>(
-      static_cast<std::uint64_t>(std::stoull(as_string(), nullptr, 16)));
+  const std::string& s = as_string();
+  std::uint64_t bits = 0;
+  const auto [end, ec] =
+      std::from_chars(s.data(), s.data() + s.size(), bits, 16);
+  PEAK_CHECK(!s.empty() && ec == std::errc() && end == s.data() + s.size(),
+             "jsonl: not a hex double");
+  return std::bit_cast<double>(bits);
 }
 
 JsonValue JsonParser::parse() {

@@ -57,7 +57,8 @@ public:
   [[nodiscard]] double as_double() const;
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] const JsonArray& as_array() const;
-  /// Hex-bit-pattern string back to double.
+  /// Hex-bit-pattern string back to double. Throws support::CheckError
+  /// unless the string is 1 to 16 hex digits.
   [[nodiscard]] double as_hex_double() const;
 };
 

@@ -153,8 +153,8 @@ RatingCache::RatingCache(std::string path, Load load,
       entries_.emplace(record.at("key").as_string(),
                        RatingDelta::decode(record));
     } catch (const std::exception& e) {
-      // std::exception, not just CheckError: a flipped bit inside a hex
-      // field surfaces as std::invalid_argument from stoull.
+      // std::exception, not just CheckError: a real number past a
+      // double's range surfaces as std::out_of_range from stod.
       if (load == Load::kStrict)
         throw JournalError("journal " + path_ + " line " +
                            std::to_string(line_no) +

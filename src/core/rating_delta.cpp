@@ -53,7 +53,57 @@ fault::FaultKind fault_kind(const JsonValue& j) {
   return *kind;
 }
 
+const std::string& config_key(const JsonValue& j) {
+  const std::string& key = j.as_string();
+  for (char c : key)
+    PEAK_CHECK(c == '0' || c == '1', "member task: config key is not 0/1");
+  return key;
+}
+
 }  // namespace
+
+std::string MemberTask::encode() const {
+  std::string out = "{";
+  encode_members(out);
+  out += '}';
+  return out;
+}
+
+void MemberTask::encode_members(std::string& out) const {
+  Writer os{out};
+  os << "\"m\":" << Quoted{rating::to_string(method)}
+     << ",\"base\":" << Quoted{base_key} << ",\"cfg\":" << Quoted{cfg_key}
+     << ",\"pro\":" << to_bool(prologue) << ",\"seed\":" << seed
+     << ",\"memo\":[";
+  for (std::size_t i = 0; i < memo.size(); ++i)
+    os << (i ? "," : "") << "{\"k\":" << Quoted{memo[i].first}
+       << ",\"v\":" << Hex{memo[i].second} << "}";
+  os << "],\"faults\":[";
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    os << (i ? "," : "") << "{\"k\":" << Quoted{faults[i].key}
+       << ",\"kind\":" << Quoted{fault::to_string(faults[i].kind)}
+       << ",\"n\":" << faults[i].failures
+       << ",\"q\":" << to_bool(faults[i].quarantined) << "}";
+  os << "],\"val\":" << to_bool(validated);
+}
+
+MemberTask MemberTask::decode(const JsonValue& j) {
+  MemberTask t;
+  const auto method = rating::parse_method(j.at("m").as_string());
+  PEAK_CHECK(method.has_value(), "member task: unknown rating method");
+  t.method = *method;
+  t.base_key = config_key(j.at("base"));
+  t.cfg_key = config_key(j.at("cfg"));
+  t.prologue = j.at("pro").as_bool();
+  t.seed = j.at("seed").as_u64();
+  for (const JsonValue& m : j.at("memo").as_array())
+    t.memo.emplace_back(m.at("k").as_string(), m.at("v").as_hex_double());
+  for (const JsonValue& f : j.at("faults").as_array())
+    t.faults.push_back({f.at("k").as_string(), fault_kind(f.at("kind")),
+                        f.at("n").as_u64(), f.at("q").as_bool()});
+  t.validated = j.at("val").as_bool();
+  return t;
+}
 
 std::string RatingDelta::encode() const {
   std::string out;

@@ -55,10 +55,10 @@ struct FaultRecord {
 /// all a rating reads besides the scenario (and the run's fault
 /// settings): the stream seed, the merged memo EVALs and quarantine
 /// entries of the base and the candidate, and the candidate's validation
-/// verdict (all a rating ever looks up). Slot threads and forked workers
-/// rate from it, the TCP fleet ships it as the task frame, and the
-/// rating cache and the journal key on its digest, so none can disagree
-/// on what a rating depends on.
+/// verdict (all a rating ever looks up). Slot threads rate from it,
+/// forked workers and the TCP fleet receive it encoded in their run and
+/// task frames, and the rating cache and the journal key on its digest,
+/// so none can disagree on what a rating depends on.
 struct MemberTask {
   rating::Method method = rating::Method::kWHL;
   std::string base_key;  ///< FlagConfig::key() ("0"/"1" per flag)
@@ -72,6 +72,18 @@ struct MemberTask {
   std::vector<FaultRecord> faults;
   /// The candidate's output digest already passed validation.
   bool validated = false;
+
+  /// One JSON object on one line: what a forked worker reads from its
+  /// run frame. Doubles travel as bit patterns, so a round trip is exact.
+  [[nodiscard]] std::string encode() const;
+  /// Appends encode()'s members, without the braces, to `out`, so a
+  /// record may carry them next to its own (the dist task frame does).
+  void encode_members(std::string& out) const;
+  /// Inverse of encode(); reads the task's members of any object and
+  /// ignores the rest. Throws support::CheckError on damaged input: a
+  /// missing or mistyped member, an unknown method or fault kind, or a
+  /// config key that is not a 0/1 string.
+  [[nodiscard]] static MemberTask decode(const jsonl::JsonValue& j);
 
   friend bool operator==(const MemberTask&, const MemberTask&) = default;
 };
@@ -116,8 +128,8 @@ struct RatingDelta {
   void encode_to(std::string& out) const;
   /// Inverse of encode(). Keys it does not know are ignored, so a record
   /// may carry the delta's fields next to its own. Throws std::exception
-  /// (support::CheckError, std::invalid_argument, std::out_of_range) on
-  /// damaged input.
+  /// (support::CheckError, or std::out_of_range from a real number past
+  /// a double's range) on damaged input.
   [[nodiscard]] static RatingDelta decode(const jsonl::JsonValue& j);
 };
 

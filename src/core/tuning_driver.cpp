@@ -180,10 +180,13 @@ public:
     return out;
   }
 
-  /// Worker-side rating of one coordinator-shipped member (see
-  /// TuningDriver::rate_remote_member). Like every member it reads no
-  /// EVAL but its task's, so the result is a pure function of the task.
-  std::string rate_remote(const MemberTask& task) {
+  /// Rate one member from its task alone, on slot clone `clone` at
+  /// process attempt `attempt`: the worker-side entry of forked workers
+  /// and of the TCP fleet (see TuningDriver::rate_remote_member). Like
+  /// every member it reads no EVAL but its task's, so the result is a
+  /// pure function of the task.
+  std::string rate_remote(const MemberTask& task, std::size_t clone,
+                          std::size_t attempt) {
     const search::OptimizationSpace& space = driver_.effects_.space();
     PEAK_CHECK(task.base_key.size() == space.size() &&
                    task.cfg_key.size() == space.size(),
@@ -198,8 +201,11 @@ public:
     m.task = task;
     m.base = &base;
     m.cfg = &cfg;
-    ensure_slots(1);
-    m.backend = slots_[0].get();
+    ensure_slots(clone + 1);
+    m.backend = slots_[clone].get();
+    // Lets a transient hard-crash verdict clear on a retry in another
+    // process (and a deterministic one keep firing until quarantine).
+    m.backend->set_process_attempt(attempt);
     run_member(m);
     return m.delta.encode();
   }
@@ -343,18 +349,30 @@ private:
   /// Rate `targets` (canonical batch order) on the member transport the
   /// options select — the TCP fleet, forked workers, or in-process slot
   /// threads. This is the only place that chooses; every transport runs
-  /// run_member() against the same frozen state and hands back the
-  /// member's delta, so the choice moves where a rating runs, never what
-  /// it returns.
+  /// run_member() on the member's task alone and hands back the member's
+  /// delta, so the choice moves where a rating runs, never what it
+  /// returns. A `transport` span covers the round (kind, tasks, and for
+  /// forks the workers spawned).
   void run_members(const std::vector<MemberState*>& targets) {
     if (targets.empty()) return;
     const DriverOptions& options = driver_.options_;
+    obs::ScopedSpan span("transport", "rating");
+    if (span.active()) {
+      span.add(obs::attr("kind", options.coordinator != nullptr ? "fleet"
+                                 : options.isolate_workers >= 1 ? "forks"
+                                                                 : "threads"));
+      span.add(obs::attr("tasks", targets.size()));
+    }
     if (options.coordinator != nullptr) {
       run_remote(targets);
       return;
     }
     if (options.isolate_workers >= 1) {
+      const std::uint64_t spawned =
+          supervisor_ != nullptr ? supervisor_->stats().spawned : 0;
       run_isolated(targets);
+      if (span.active())
+        span.add(obs::attr("spawned", supervisor_->stats().spawned - spawned));
       return;
     }
     const std::size_t slots =
@@ -691,41 +709,42 @@ private:
 
   // ---- Worker transports -------------------------------------------------
 
-  /// Run `targets` in forked worker subprocesses under a
-  /// proc::Supervisor. Its scheduler deals task i to worker i % W and
-  /// lets idle workers steal, so any worker may run any task; a worker
-  /// rates each with run_member() on one slot clone, as an in-process
-  /// slot thread does, and only the transport differs (an encoded
-  /// RatingDelta frame instead of shared memory). A worker death requeues
-  /// the task with a bumped process-attempt counter, for a fresh fork or
-  /// another worker; after max_task_attempts the config is treated as a
+  /// Run `targets` in forked worker subprocesses under the evaluator's
+  /// proc::Supervisor, whose workers are forked on the first isolated
+  /// round and serve every later round of this tune(method). Each
+  /// member's MemberTask travels encoded in its run frame, as run_remote
+  /// ships it to the fleet, and the worker rates it with rate_remote()
+  /// and sends the encoded RatingDelta back; a worker reads nothing the
+  /// parent changed after the fork. The scheduler deals task i to worker
+  /// i % W and lets idle workers steal. A worker death requeues the task
+  /// with a bumped process-attempt counter, for another worker or a fresh
+  /// fork; after max_task_attempts the config is treated as a
   /// deterministic crasher (see synthesize_process_failure).
   void run_isolated(const std::vector<MemberState*>& targets) {
-    const std::size_t slots = std::min<std::size_t>(
-        driver_.options_.isolate_workers, targets.size());
-    ensure_slots(slots);
-    proc::SupervisorPolicy policy;
-    policy.workers = slots;
-    // The TaskFn body executes in the forked child: it inherits the
-    // evaluator frozen at fork time (members, quarantine, slot clones) by
-    // copy-on-write and ships the member's delta back as one frame.
-    // Nothing the child mutates is visible here.
-    proc::Supervisor sup(
-        [this, &targets, slots, clone = slots](std::size_t task,
-                                               std::size_t attempt) mutable {
-          // Each fork keeps to the first clone it touched, so a stolen
-          // task does not copy another clone's pages on write.
-          if (clone == slots) clone = task % slots;
-          MemberState& m = *targets[task];
-          m.backend = slots_[clone].get();
-          // Lets a transient hard-crash verdict clear on the retry fork
-          // (and a deterministic one keep firing until quarantine).
-          m.backend->set_process_attempt(attempt);
-          run_member(m);
-          return m.delta.encode();
-        },
-        policy);
-    collect(targets, sup.run(targets.size()));
+    // A worker forked this round inherits one clone per slot it may use.
+    ensure_slots(std::min<std::size_t>(driver_.options_.isolate_workers,
+                                       targets.size()));
+    if (supervisor_ == nullptr) {
+      proc::SupervisorPolicy policy;
+      policy.workers = driver_.options_.isolate_workers;
+      // The TaskFn body executes in the forked child. Each worker keeps
+      // to the clone of its first task, so a stolen task does not copy
+      // another clone's pages on write.
+      supervisor_ = std::make_unique<proc::Supervisor>(
+          [this, clone = std::optional<std::size_t>()](
+              std::size_t task, std::size_t attempt,
+              const std::string& input) mutable {
+            if (!clone) clone = task % slots_.size();
+            return rate_remote(
+                MemberTask::decode(jsonl::JsonParser(input).parse()), *clone,
+                attempt);
+          },
+          policy);
+    }
+    std::vector<std::string> inputs;
+    inputs.reserve(targets.size());
+    for (const MemberState* m : targets) inputs.push_back(m->task.encode());
+    collect(targets, supervisor_->run(inputs));
   }
 
   /// Run `targets` on the coordinator's worker fleet. Each member's
@@ -885,6 +904,9 @@ private:
   // results do not depend on which clone rates which member.
   std::vector<std::unique_ptr<sim::SimExecutionBackend>> slots_;
   std::unique_ptr<support::ThreadPool> pool_;
+  /// Forked workers of this evaluator (isolate_workers), built on its
+  /// first isolated round and retired with it.
+  std::unique_ptr<proc::Supervisor> supervisor_;
   /// Persistent rating cache; null = none.
   RatingCache* cache_;
   /// Run fingerprint: every journal and cache key starts from it.
@@ -960,7 +982,7 @@ std::string TuningDriver::rate_remote_member(const MemberTask& task) {
                                                   /*journal=*/nullptr))
              .first;
   }
-  return it->second->rate_remote(task);
+  return it->second->rate_remote(task, /*clone=*/0, /*attempt=*/0);
 }
 
 TuningOutcome TuningDriver::tune(rating::Method method) {

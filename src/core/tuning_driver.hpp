@@ -97,8 +97,10 @@ struct DriverOptions {
   /// member in a forked, supervised worker subprocess instead of a pool
   /// thread, so a rating that takes its process down (FaultKind::
   /// kHardCrash, a real SIGSEGV, an rlimit kill) costs one worker, not
-  /// the run. Members keep the same per-slot clone + frozen-state +
-  /// delta contract, so the TuningOutcome is bit-identical to
+  /// the run. At most N workers are forked per tune(method) (plus
+  /// replacements for dead ones); they serve every round, each member
+  /// shipped as its encoded MemberTask. A member is a pure function of
+  /// its task, so the TuningOutcome is bit-identical to
   /// `search_threads N` for any worker count — even across transient
   /// worker deaths, whose retries re-run the identical content-seeded
   /// rating. 0 (default) keeps ratings in-process.

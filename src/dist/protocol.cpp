@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "fault/fault.hpp"
 #include "support/check.hpp"
 
 namespace peak::dist {
@@ -10,15 +9,6 @@ namespace peak::dist {
 namespace jsonl = core::jsonl;
 
 namespace {
-
-rating::Method method_from(const std::string& name) {
-  for (rating::Method m :
-       {rating::Method::kCBR, rating::Method::kMBR, rating::Method::kRBR,
-        rating::Method::kAVG, rating::Method::kWHL})
-    if (name == rating::to_string(m)) return m;
-  PEAK_CHECK(false, "dist: unknown rating method '" + name + "'");
-  return rating::Method::kWHL;
-}
 
 const char* rule_name(stats::OutlierRule rule) {
   switch (rule) {
@@ -35,15 +25,6 @@ stats::OutlierRule rule_from(const std::string& name) {
   if (name == "mad") return stats::OutlierRule::kMad;
   PEAK_CHECK(false, "dist: unknown outlier rule '" + name + "'");
   return stats::OutlierRule::kNone;
-}
-
-std::string config_key_checked(const jsonl::JsonValue& record,
-                               const char* field) {
-  const std::string& key = record.at(field).as_string();
-  for (char c : key)
-    PEAK_CHECK(c == '0' || c == '1',
-               "dist: config key is not a 0/1 bit string");
-  return key;
 }
 
 }  // namespace
@@ -103,32 +84,14 @@ std::string ready_frame() { return "{\"op\":\"ready\"}"; }
 
 std::string task_frame(std::uint64_t id, unsigned attempt,
                        const core::MemberTask& task) {
-  std::ostringstream out;
-  out << "{\"op\":\"task\",\"id\":" << id << ",\"attempt\":" << attempt
-      << ",\"m\":" << jsonl::quote(rating::to_string(task.method))
-      << ",\"base\":" << jsonl::quote(task.base_key)
-      << ",\"cfg\":" << jsonl::quote(task.cfg_key)
-      << ",\"pro\":" << (task.prologue ? "true" : "false")
-      << ",\"seed\":" << task.seed << ",\"memo\":[";
-  bool first = true;
-  for (const auto& [key, value] : task.memo) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"k\":" << jsonl::quote(key) << ",\"v\":\""
-        << jsonl::hex_double(value) << "\"}";
-  }
-  out << "],\"faults\":[";
-  first = true;
-  for (const core::FaultRecord& f : task.faults) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"k\":" << jsonl::quote(f.key)
-        << ",\"kind\":" << jsonl::quote(fault::to_string(f.kind))
-        << ",\"n\":" << f.failures
-        << ",\"q\":" << (f.quarantined ? "true" : "false") << "}";
-  }
-  out << "],\"val\":" << (task.validated ? "true" : "false") << "}";
-  return out.str();
+  std::string out = "{\"op\":\"task\",\"id\":";
+  out += std::to_string(id);
+  out += ",\"attempt\":";
+  out += std::to_string(attempt);
+  out += ',';
+  task.encode_members(out);
+  out += '}';
+  return out;
 }
 
 std::string result_frame(std::uint64_t id, const std::string& payload) {
@@ -203,22 +166,7 @@ TaskFrame parse_task_frame(const jsonl::JsonValue& record) {
   TaskFrame out;
   out.id = record.at("id").as_u64();
   out.attempt = static_cast<unsigned>(record.at("attempt").as_u64());
-  out.task.method = method_from(record.at("m").as_string());
-  out.task.base_key = config_key_checked(record, "base");
-  out.task.cfg_key = config_key_checked(record, "cfg");
-  out.task.prologue = record.at("pro").as_bool();
-  out.task.seed = record.at("seed").as_u64();
-  for (const auto& entry : record.at("memo").as_array())
-    out.task.memo.emplace_back(entry.at("k").as_string(),
-                               entry.at("v").as_hex_double());
-  for (const auto& entry : record.at("faults").as_array()) {
-    const auto kind = fault::parse_fault_kind(entry.at("kind").as_string());
-    PEAK_CHECK(kind.has_value(), "dist: unknown fault kind");
-    out.task.faults.push_back({entry.at("k").as_string(), *kind,
-                               entry.at("n").as_u64(),
-                               entry.at("q").as_bool()});
-  }
-  out.task.validated = record.at("val").as_bool();
+  out.task = core::MemberTask::decode(record);
   return out;
 }
 

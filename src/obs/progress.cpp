@@ -94,8 +94,6 @@ ProgressModel build_progress_model(const MetricsRegistry::Snapshot& metrics,
       counter_or_zero(metrics, "proc.workers.respawned");
   model.workers.killed = counter_or_zero(metrics, "proc.kills.term") +
                          counter_or_zero(metrics, "proc.kills.kill");
-  model.workers.heartbeat_gaps =
-      counter_or_zero(metrics, "proc.heartbeat.gaps");
 
   model.dist.workers_connected =
       counter_or_zero(metrics, "dist.workers.connected");
@@ -137,8 +135,7 @@ std::string render_progress_frame(const ProgressModel& model) {
   if (model.workers.spawned > 0)
     os << "  workers: " << model.workers.spawned << " spawned, "
        << model.workers.respawned << " respawned, " << model.workers.killed
-       << " killed, " << model.workers.heartbeat_gaps
-       << " heartbeat gaps\n";
+       << " killed\n";
 
   if (model.dist.workers_connected > 0)
     os << "  fleet: " << model.dist.workers_connected << " connected, "
@@ -188,8 +185,7 @@ void write_progress_json(const ProgressModel& model, std::ostream& os) {
   if (model.workers.spawned > 0)
     os << ",\"workers\":{\"spawned\":" << model.workers.spawned
        << ",\"respawned\":" << model.workers.respawned
-       << ",\"killed\":" << model.workers.killed
-       << ",\"heartbeat_gaps\":" << model.workers.heartbeat_gaps << "}";
+       << ",\"killed\":" << model.workers.killed << "}";
   // Same contract for the distributed fleet: absent unless one formed.
   if (model.dist.workers_connected > 0)
     os << ",\"dist\":{\"workers_connected\":"

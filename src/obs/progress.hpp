@@ -61,7 +61,6 @@ struct ProgressModel {
     std::uint64_t spawned = 0;
     std::uint64_t respawned = 0;
     std::uint64_t killed = 0;  ///< watchdog SIGTERM + SIGKILL escalations
-    std::uint64_t heartbeat_gaps = 0;
     friend bool operator==(const Workers&, const Workers&) = default;
   };
   Workers workers;

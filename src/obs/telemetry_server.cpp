@@ -51,7 +51,6 @@ ProgressModel progress_model_from_value(const core::jsonl::JsonValue& v) {
     m.workers.spawned = w.at("spawned").as_u64();
     m.workers.respawned = w.at("respawned").as_u64();
     m.workers.killed = w.at("killed").as_u64();
-    m.workers.heartbeat_gaps = w.at("heartbeat_gaps").as_u64();
   }
   // Absent unless the run formed a distributed fleet.
   if (v.has("dist")) {

@@ -26,7 +26,6 @@ struct ProcMetrics {
   obs::Counter& respawned = obs::counter("proc.workers.respawned");
   obs::Counter& term_kills = obs::counter("proc.kills.term");
   obs::Counter& kill_kills = obs::counter("proc.kills.kill");
-  obs::Counter& heartbeat_gaps = obs::counter("proc.heartbeat.gaps");
   obs::Counter& tasks_retried = obs::counter("proc.tasks.retried");
   obs::Counter& tasks_failed = obs::counter("proc.tasks.failed");
   obs::Counter& exits_clean = obs::counter("proc.exits.clean");
@@ -41,6 +40,13 @@ ProcMetrics& proc_metrics() {
   return *metrics;
 }
 
+int wait_status(pid_t pid) {
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  return status;
+}
+
 }  // namespace
 
 /// A worker slot: the process and its watchdog; tasks live in the scheduler.
@@ -48,11 +54,9 @@ struct Supervisor::Slot {
   std::size_t index = 0;
   std::unique_ptr<WorkerProcess> worker;
   FrameReader reader;
-  Clock::time_point last_frame_at;
   bool term_sent = false;  ///< the watchdog found the held task stalled
   bool kill_sent = false;
   Clock::time_point term_at;
-  bool gap_counted = false;
   std::uint64_t tasks_done = 0;
 };
 
@@ -61,40 +65,75 @@ Supervisor::Supervisor(TaskFn fn, SupervisorPolicy policy)
   PEAK_CHECK(policy_.workers >= 1, "supervisor needs at least one worker");
   ignore_sigpipe_once();  // a dead worker is EPIPE on the command write
   proc_metrics();  // registered before any fork (see docs/INTERNALS §12)
+  if (policy_.update_worker_table) WorkerTable::global().clear();
 }
 
-Supervisor::~Supervisor() { kill_all(); }
+Supervisor::Supervisor(IndexTaskFn fn, SupervisorPolicy policy)
+    : Supervisor(TaskFn([fn = std::move(fn)](std::size_t task,
+                                             std::size_t attempt,
+                                             const std::string&) {
+                   return fn(task, attempt);
+                 }),
+                 policy) {}
+
+Supervisor::~Supervisor() { retire_all(); }
 
 void Supervisor::kill_all() {
   for (Slot& slot : slots_) {
     if (!slot.worker) continue;
     kill(slot.worker->pid(), SIGKILL);
-    int status = 0;
-    while (waitpid(slot.worker->pid(), &status, 0) < 0 && errno == EINTR) {
-    }
+    (void)wait_status(slot.worker->pid());
     if (policy_.update_worker_table)
       WorkerTable::global().died(slot.index, "killed");
     slot.worker.reset();
   }
 }
 
+void Supervisor::retire_all() {
+  for (Slot& slot : slots_)
+    if (slot.worker) slot.worker->send_exit();
+  const Clock::time_point deadline = Clock::now() + policy_.term_grace;
+  char buf[4096];
+  for (Slot& slot : slots_) {
+    if (!slot.worker) continue;
+    // A worker closes its result pipe as it exits; past the grace it is
+    // killed instead.
+    pollfd pfd{slot.worker->read_fd(), POLLIN, 0};
+    bool told = true;
+    for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - Clock::now());
+      int ready = -1;
+      if (left.count() > 0) {
+        ready = poll(&pfd, 1, static_cast<int>(left.count()));
+        if (ready == 0 || (ready < 0 && errno == EINTR)) continue;
+      }
+      if (ready < 0) {  // past the grace, or poll failed
+        kill(slot.worker->pid(), SIGKILL);
+        told = false;
+        break;
+      }
+      const ssize_t n = read(pfd.fd, buf, sizeof buf);
+      if (n > 0 || (n < 0 && errno == EINTR)) continue;
+      break;  // EOF or a hard read error: the worker is gone
+    }
+    (void)bury(slot, wait_status(slot.worker->pid()), told);
+  }
+}
+
 void Supervisor::spawn_slot(Slot& slot, bool respawn) {
-  // Every other live worker's parent-side read fd must be closed in the
-  // new child, or a dead sibling's pipe stays open and its EOF never
-  // reaches the event loop. (The command write fds are handled inside
-  // WorkerProcess::spawn via the same list.)
+  // Every other live worker's parent-side pipe ends must be closed in
+  // the new child (see WorkerProcess::spawn).
   std::vector<int> close_in_child;
   for (const Slot& other : slots_)
-    if (other.worker) close_in_child.push_back(other.worker->read_fd());
+    if (other.worker) {
+      close_in_child.push_back(other.worker->read_fd());
+      close_in_child.push_back(other.worker->write_fd());
+    }
 
-  WorkerProcess::Options options;
-  options.limits = policy_.limits;
-  options.heartbeat_interval = policy_.heartbeat_interval;
-  slot.worker = WorkerProcess::spawn(fn_, options, close_in_child);
+  slot.worker = WorkerProcess::spawn(fn_, policy_.limits, close_in_child);
   PEAK_CHECK(slot.worker != nullptr, "fork() failed spawning a worker");
   slot.reader = FrameReader{};
-  slot.gap_counted = false;
-  slot.last_frame_at = Clock::now();
 
   obs::tally(stats_.spawned, proc_metrics().spawned);
   if (respawn) obs::tally(stats_.respawned, proc_metrics().respawned);
@@ -102,38 +141,27 @@ void Supervisor::spawn_slot(Slot& slot, bool respawn) {
     WorkerTable::global().spawned(slot.index, slot.worker->pid(), respawn);
 }
 
-void Supervisor::dispatch(Slot& slot, TaskScheduler& sched) {
+void Supervisor::dispatch(Slot& slot, TaskScheduler& sched,
+                          const std::vector<std::string>& inputs) {
   const std::optional<TaskScheduler::Dispatch> next =
       sched.dispatch(slot.index, Clock::now());
   slot.term_sent = false;  // a fresh deadline, or none
   slot.kill_sent = false;
-  if (!next) {
-    // No undispatched work anywhere: ask for a clean exit and wait for
-    // the EOF.
-    slot.worker->send_exit();
-    return;
-  }
+  if (!next) return;  // nothing left to dispatch: the worker idles
   if (policy_.update_worker_table)
     WorkerTable::global().running(slot.index, next->task);
   // A worker already gone shows up as EOF in the event loop.
-  slot.worker->send_run(next->task, next->attempt);
+  slot.worker->send_run(next->task, next->attempt, inputs[next->task]);
 }
 
-void Supervisor::reap(Slot& slot, TaskScheduler& sched) {
-  const pid_t pid = slot.worker->pid();
-  int status = 0;
-  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-  }
+std::optional<WorkerFailure> Supervisor::bury(Slot& slot, int status,
+                                              bool told) {
   slot.worker.reset();
-
-  // A live slot holds a task until it is told to exit.
-  const bool expected_exit = !sched.held(slot.index) && WIFEXITED(status) &&
-                             WEXITSTATUS(status) == 0;
-  if (expected_exit) {
+  if (told && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
     obs::tally(stats_.exits_clean, proc_metrics().exits_clean);
     if (policy_.update_worker_table)
       WorkerTable::global().finished(slot.index, slot.tasks_done);
-    return;
+    return std::nullopt;
   }
 
   // Unexpected death. Classify it.
@@ -174,14 +202,21 @@ void Supervisor::reap(Slot& slot, TaskScheduler& sched) {
       obs::tally(stats_.exits_nonzero, proc_metrics().exits_nonzero);
     }
   }
-
   if (policy_.update_worker_table)
     WorkerTable::global().died(slot.index, failure.signature);
+  return failure;
+}
+
+void Supervisor::reap(Slot& slot, TaskScheduler& sched,
+                      const std::vector<std::string>& inputs) {
+  std::optional<WorkerFailure> failure =
+      bury(slot, wait_status(slot.worker->pid()), /*told=*/false);
 
   // Charge the task the worker held, if any. Refill the slot only while
-  // work waits: a worker that died after its last result costs nothing.
+  // work waits: a worker that died after its last result costs nothing
+  // and is replaced by the next round that needs its slot.
   if (const std::optional<std::size_t> held = sched.held(slot.index)) {
-    if (sched.fail(slot.index, *held, std::move(failure), Clock::now()) ==
+    if (sched.fail(slot.index, *held, std::move(*failure), Clock::now()) ==
         TaskScheduler::Charge::kRetried)
       obs::tally(stats_.tasks_retried, proc_metrics().tasks_retried);
     else
@@ -189,37 +224,58 @@ void Supervisor::reap(Slot& slot, TaskScheduler& sched) {
   }
   if (!sched.undispatched()) return;
   spawn_slot(slot, /*respawn=*/true);
-  dispatch(slot, sched);
+  dispatch(slot, sched, inputs);
+}
+
+void Supervisor::reap_idle() {
+  for (Slot& slot : slots_) {
+    if (!slot.worker) continue;
+    int status = 0;
+    if (waitpid(slot.worker->pid(), &status, WNOHANG) == slot.worker->pid())
+      (void)bury(slot, status, /*told=*/false);
+  }
 }
 
 std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
-  if (num_tasks == 0) return {};
+  return run(std::vector<std::string>(num_tasks));
+}
 
-  const std::size_t workers = std::min(policy_.workers, num_tasks);
-  TaskScheduler sched(num_tasks, workers, policy_.max_task_attempts);
-  slots_.clear();
-  slots_.resize(workers);
-  if (policy_.update_worker_table) WorkerTable::global().clear();
-  for (std::size_t s = 0; s < workers; ++s) slots_[s].index = s;
-  for (Slot& slot : slots_) spawn_slot(slot, /*respawn=*/false);
-  for (Slot& slot : slots_) dispatch(slot, sched);
+std::vector<TaskOutcome> Supervisor::run(
+    const std::vector<std::string>& inputs) {
+  if (inputs.empty()) return {};
+
+  const std::size_t workers = std::min(policy_.workers, inputs.size());
+  TaskScheduler sched(inputs.size(), workers, policy_.max_task_attempts);
+  // A worker that died while idle holds no task: it costs this round
+  // only its replacement.
+  reap_idle();
+  const std::size_t known = slots_.size();
+  for (std::size_t s = known; s < workers; ++s) {
+    slots_.emplace_back();
+    slots_.back().index = s;
+  }
+  for (std::size_t s = 0; s < workers; ++s)
+    if (!slots_[s].worker) spawn_slot(slots_[s], /*respawn=*/s < known);
+  for (std::size_t s = 0; s < workers; ++s) dispatch(slots_[s], sched, inputs);
 
   char buf[4096];
-  for (;;) {
+  while (sched.undecided() > 0) {
     if (support::shutdown_requested()) {
       kill_all();
       support::check_shutdown();  // throws ShutdownRequested
     }
 
-    // No worker left means no task left: reap() refills while work waits.
+    // A task is held by a live worker or waits for one: reap() refills
+    // a slot while work waits.
     std::vector<pollfd> fds;
     std::vector<Slot*> fd_slots;
-    for (Slot& slot : slots_) {
+    for (std::size_t s = 0; s < workers; ++s) {
+      Slot& slot = slots_[s];
       if (!slot.worker) continue;
       fds.push_back({slot.worker->read_fd(), POLLIN, 0});
       fd_slots.push_back(&slot);
     }
-    if (fds.empty()) break;
+    PEAK_CHECK(!fds.empty(), "supervisor round has work but no worker");
 
     const int ready =
         poll(fds.data(), static_cast<nfds_t>(fds.size()), /*timeout=*/10);
@@ -237,22 +293,18 @@ std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
         const ssize_t n = read(fds[i].fd, buf, sizeof buf);
         if (n > 0) {
           slot.reader.feed(buf, static_cast<std::size_t>(n));
-          slot.last_frame_at = now;
-          slot.gap_counted = false;
           while (auto payload = slot.reader.next()) {
             try {
               core::jsonl::JsonParser parser(*payload);
               const core::jsonl::JsonValue frame = parser.parse();
-              const std::string& op = frame.at("op").as_string();
-              if (op == "result" &&
+              if (frame.at("op").as_string() == "result" &&
                   sched.complete(slot.index, frame.at("task").as_u64(),
                                  frame.at("payload").as_string())) {
                 ++slot.tasks_done;
                 if (policy_.update_worker_table)
                   WorkerTable::global().idle(slot.index);
-                dispatch(slot, sched);
+                dispatch(slot, sched, inputs);
               }
-              // hello / hb frames only refresh last_frame_at above.
             } catch (const support::CheckError&) {
               // Garbled frame from a dying worker: ignore; the EOF (or
               // the watchdog) settles its fate.
@@ -265,44 +317,34 @@ std::vector<TaskOutcome> Supervisor::run(std::size_t num_tasks) {
           continue;
         }
         if (n < 0 && errno == EINTR) continue;
-        reap(slot, sched);  // n == 0 (EOF) or hard read error
+        reap(slot, sched, inputs);  // n == 0 (EOF) or hard read error
         continue;
       }
       if (revents & (POLLHUP | POLLERR | POLLNVAL)) {
-        reap(slot, sched);
+        reap(slot, sched, inputs);
         continue;
       }
     }
 
-    // Watchdog sweep (every live slot, busy or quiet): per-dispatch
-    // deadline with SIGTERM → SIGKILL escalation, plus heartbeat-gap
-    // accounting. Heartbeats keep flowing from a stalled task's ticker
-    // thread, so the deadline is measured from dispatch, not from the
-    // last frame.
-    for (Slot& slot : slots_) {
-      if (!slot.worker) continue;
-      if (sched.held(slot.index)) {
-        if (!slot.term_sent &&
-            sched.stalled(slot.index, now, policy_.stall_timeout)) {
-          slot.term_sent = true;
-          slot.term_at = now;
-          kill(slot.worker->pid(), SIGTERM);
-          obs::tally(stats_.term_kills, proc_metrics().term_kills);
-        } else if (slot.term_sent && !slot.kill_sent &&
-                   now - slot.term_at > policy_.term_grace) {
-          slot.kill_sent = true;
-          kill(slot.worker->pid(), SIGKILL);
-          obs::tally(stats_.kill_kills, proc_metrics().kill_kills);
-        }
-      }
-      if (!slot.gap_counted &&
-          now - slot.last_frame_at > 4 * policy_.heartbeat_interval) {
-        slot.gap_counted = true;
-        obs::tally(stats_.heartbeat_gaps, proc_metrics().heartbeat_gaps);
+    // Watchdog sweep: per-dispatch deadline with SIGTERM → SIGKILL
+    // escalation. Only a worker holding a task can be stalled.
+    for (std::size_t s = 0; s < workers; ++s) {
+      Slot& slot = slots_[s];
+      if (!slot.worker || !sched.held(slot.index)) continue;
+      if (!slot.term_sent &&
+          sched.stalled(slot.index, now, policy_.stall_timeout)) {
+        slot.term_sent = true;
+        slot.term_at = now;
+        kill(slot.worker->pid(), SIGTERM);
+        obs::tally(stats_.term_kills, proc_metrics().term_kills);
+      } else if (slot.term_sent && !slot.kill_sent &&
+                 now - slot.term_at > policy_.term_grace) {
+        slot.kill_sent = true;
+        kill(slot.worker->pid(), SIGKILL);
+        obs::tally(stats_.kill_kills, proc_metrics().kill_kills);
       }
     }
   }
-  PEAK_CHECK(sched.undecided() == 0, "supervisor round ended undecided");
   return sched.take_outcomes();
 }
 

@@ -1,16 +1,24 @@
 #pragma once
 
 /// \file supervisor.hpp
-/// Supervised execution of a batch of tasks across forked worker
-/// subprocesses (`peak::proc`). run(n) executes tasks 0..n-1 under a
-/// TaskScheduler (task_scheduler.hpp), which makes every scheduling
-/// decision; a caller that merges results in canonical task order gets
-/// output independent of worker timing *and* of how many times a worker
-/// died along the way.
+/// Supervised execution of batches of tasks across forked worker
+/// subprocesses (`peak::proc`). run(inputs) executes tasks
+/// 0..inputs.size()-1 under a TaskScheduler (task_scheduler.hpp), which
+/// makes every scheduling decision; a caller that merges results in
+/// canonical task order gets output independent of worker timing *and*
+/// of how many times a worker died along the way.
+///
+/// Workers live across rounds: a round forks only the slots it can use
+/// that hold no live worker, and each task's input string travels in its
+/// run frame, so a worker reads nothing the parent changed after the
+/// fork unless it arrives as input. Between rounds a worker is idle: it
+/// holds no task, so it is never stalled, and one that died while idle
+/// is reaped at the next round and replaced there. The destructor
+/// retires every worker with an exit frame and reaps it.
 ///
 /// The supervisor owns the I/O: pipes, fork, rlimits, the event loop
-/// that polls every worker pipe, SIGTERM → SIGKILL escalation of a
-/// stalled worker, and turning each worker death into a typed
+/// that polls every busy worker's pipe, SIGTERM → SIGKILL escalation of
+/// a stalled worker, and turning each worker death into a typed
 /// WorkerFailure:
 ///   clean    normal exit after being told to (never a failure)
 ///   signal   killed by an uncaught signal (SIGSEGV, SIGABRT, ...)
@@ -24,6 +32,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "proc/task_scheduler.hpp"
@@ -33,14 +43,16 @@ namespace peak::proc {
 
 struct SupervisorPolicy {
   std::size_t workers = 1;
-  std::chrono::milliseconds heartbeat_interval{25};
   /// Per-dispatch deadline: a worker that holds one task longer than
   /// this is stalled and gets SIGTERM.
   std::chrono::milliseconds stall_timeout{10'000};
-  /// SIGTERM → SIGKILL escalation grace.
+  /// SIGTERM → SIGKILL escalation grace, and how long a retired worker
+  /// may take to exit before it gets SIGKILL.
   std::chrono::milliseconds term_grace{250};
   /// Attempts per task before giving up (1 initial + retries).
   std::size_t max_task_attempts = 3;
+  /// Caps of each worker. RLIMIT_CPU bounds a worker's whole life, every
+  /// round it serves included.
   ResourceLimits limits;
   /// Publish per-worker rows to WorkerTable::global() (the /workers
   /// endpoint); off for nested/throwaway supervisors in tests.
@@ -54,7 +66,6 @@ struct SupervisorStats {
   std::uint64_t respawned = 0;
   std::uint64_t term_kills = 0;
   std::uint64_t kill_kills = 0;
-  std::uint64_t heartbeat_gaps = 0;
   std::uint64_t tasks_retried = 0;
   std::uint64_t tasks_failed = 0;
   std::uint64_t exits_clean = 0;
@@ -66,15 +77,25 @@ struct SupervisorStats {
 
 class Supervisor {
 public:
+  /// A task that reads nothing but its index and process attempt.
+  using IndexTaskFn =
+      std::function<std::string(std::size_t task, std::size_t attempt)>;
+
   Supervisor(TaskFn fn, SupervisorPolicy policy);
-  ~Supervisor();  ///< kills and reaps any worker still alive
+  Supervisor(IndexTaskFn fn, SupervisorPolicy policy);
+  /// Retires every live worker: an exit frame, then SIGKILL for one
+  /// still alive after term_grace; each is reaped.
+  ~Supervisor();
 
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Execute tasks 0..num_tasks-1; returns one outcome per task, in
-  /// task order. Throws support::ShutdownRequested (after killing and
-  /// reaping the fleet) if a shutdown signal arrives mid-round.
+  /// Execute one task per input, task i reading inputs[i]; returns one
+  /// outcome per task, in task order. Throws support::ShutdownRequested
+  /// (after killing and reaping the fleet) if a shutdown signal arrives
+  /// mid-round.
+  std::vector<TaskOutcome> run(const std::vector<std::string>& inputs);
+  /// Execute tasks 0..num_tasks-1 with empty inputs.
   std::vector<TaskOutcome> run(std::size_t num_tasks);
 
   [[nodiscard]] const SupervisorStats& stats() const { return stats_; }
@@ -83,9 +104,16 @@ private:
   struct Slot;
 
   void spawn_slot(Slot& slot, bool respawn);
-  void dispatch(Slot& slot, TaskScheduler& sched);
-  void reap(Slot& slot, TaskScheduler& sched);
+  void dispatch(Slot& slot, TaskScheduler& sched,
+                const std::vector<std::string>& inputs);
+  /// Classify a dead worker's exit `status` and clear its slot; nullopt
+  /// for the clean exit it was told to make.
+  std::optional<WorkerFailure> bury(Slot& slot, int status, bool told);
+  void reap(Slot& slot, TaskScheduler& sched,
+            const std::vector<std::string>& inputs);
+  void reap_idle();
   void kill_all();
+  void retire_all();
 
   TaskFn fn_;
   SupervisorPolicy policy_;

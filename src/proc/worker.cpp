@@ -5,12 +5,9 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <csignal>
-#include <cstdio>
-#include <mutex>
 #include <new>
-#include <thread>
+#include <optional>
 
 #include "core/jsonl.hpp"
 #include "proc/protocol.hpp"
@@ -40,21 +37,8 @@ void apply_limits(const ResourceLimits& limits) {
   }
 }
 
-/// Serializes concurrent frame writes (task results from the serve loop,
-/// heartbeats from the ticker thread) so frames never interleave.
-struct ChildWriter {
-  int fd;
-  std::mutex mutex;
-
-  bool write(const std::string& payload) {
-    std::lock_guard lock(mutex);
-    return write_frame(fd, payload);
-  }
-};
-
-[[noreturn]] void serve(const TaskFn& fn,
-                        const WorkerProcess::Options& options, int in_fd,
-                        int out_fd) {
+[[noreturn]] void serve(const TaskFn& fn, const ResourceLimits& limits,
+                        int in_fd, int out_fd) {
   // The parent's shutdown/telemetry signal handling must not run here:
   // the supervisor owns this process's lifecycle, and SIGTERM must
   // terminate it so watchdog escalation is observable.
@@ -62,26 +46,7 @@ struct ChildWriter {
   std::signal(SIGTERM, SIG_DFL);
   std::signal(SIGPIPE, SIG_DFL);
 
-  apply_limits(options.limits);
-
-  ChildWriter writer{out_fd, {}};
-  writer.write("{\"op\":\"hello\",\"pid\":" + std::to_string(getpid()) +
-               "}");
-
-  // Liveness ticker: beats as long as the process is scheduled at all,
-  // so a missing beat means the worker is stopped or gone, while a
-  // stalled *task* is caught by the supervisor's per-dispatch deadline.
-  std::atomic<bool> stop_heartbeat{false};
-  std::thread heartbeat([&writer, &stop_heartbeat, &options] {
-    std::uint64_t seq = 0;
-    while (!stop_heartbeat.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(options.heartbeat_interval);
-      if (!writer.write("{\"op\":\"hb\",\"seq\":" + std::to_string(++seq) +
-                        "}"))
-        return;  // parent gone; the serve loop will notice on read
-    }
-  });
-  heartbeat.detach();  // _exit() below never joins; detach is deliberate
+  apply_limits(limits);
 
   FrameReader reader;
   char buf[4096];
@@ -109,16 +74,18 @@ struct ChildWriter {
 
       std::string result;
       try {
-        result = fn(task, attempt);
+        result = fn(task, attempt, cmd.at("input").as_string());
       } catch (const std::bad_alloc&) {
         _exit(kExitOom);  // RLIMIT_AS (or genuine exhaustion) tripped
       } catch (...) {
         _exit(kExitTaskError);
       }
-      if (!writer.write("{\"op\":\"result\",\"task\":" +
-                        std::to_string(task) + ",\"payload\":" +
-                        core::jsonl::quote(result) + "}"))
-        _exit(kExitProtocol);
+      std::string frame = "{\"op\":\"result\",\"task\":";
+      frame += std::to_string(task);
+      frame += ",\"payload\":";
+      core::jsonl::append_quoted(frame, result);
+      frame += '}';
+      if (!write_frame(out_fd, frame)) _exit(kExitProtocol);
     } catch (...) {
       _exit(kExitProtocol);  // malformed command frame
     }
@@ -128,7 +95,7 @@ struct ChildWriter {
 }  // namespace
 
 std::unique_ptr<WorkerProcess> WorkerProcess::spawn(
-    const TaskFn& fn, const Options& options,
+    const TaskFn& fn, const ResourceLimits& limits,
     const std::vector<int>& close_in_child) {
   int to_child[2];    // parent writes commands, child reads
   int from_child[2];  // child writes frames, parent reads
@@ -147,13 +114,15 @@ std::unique_ptr<WorkerProcess> WorkerProcess::spawn(
   }
 
   if (pid == 0) {
-    // Child. Drop the parent-side ends plus every other worker's pipes
-    // (an inherited write end would keep a sibling's pipe "open" after
-    // that sibling dies, masking its EOF from the supervisor).
+    // Child. Drop the parent-side ends plus every other worker's pipes:
+    // an inherited read end of a sibling's result pipe would keep that
+    // pipe open after the sibling dies, masking its EOF from the
+    // supervisor, and an inherited write end of a sibling's command pipe
+    // would keep the sibling from seeing EOF when the parent dies.
     close(to_child[1]);
     close(from_child[0]);
     for (int fd : close_in_child) close(fd);
-    serve(fn, options, to_child[0], from_child[1]);
+    serve(fn, limits, to_child[0], from_child[1]);
   }
 
   // Parent.
@@ -171,10 +140,16 @@ WorkerProcess::~WorkerProcess() {
   if (from_child_ >= 0) close(from_child_);
 }
 
-bool WorkerProcess::send_run(std::size_t task, std::size_t attempt) {
-  return write_frame(to_child_,
-                     "{\"op\":\"run\",\"task\":" + std::to_string(task) +
-                         ",\"attempt\":" + std::to_string(attempt) + "}");
+bool WorkerProcess::send_run(std::size_t task, std::size_t attempt,
+                             const std::string& input) {
+  std::string frame = "{\"op\":\"run\",\"task\":";
+  frame += std::to_string(task);
+  frame += ",\"attempt\":";
+  frame += std::to_string(attempt);
+  frame += ",\"input\":";
+  core::jsonl::append_quoted(frame, input);
+  frame += '}';
+  return write_frame(to_child_, frame);
 }
 
 bool WorkerProcess::send_exit() {

@@ -1,25 +1,26 @@
 #pragma once
 
 /// \file worker.hpp
-/// One forked worker subprocess (`peak::proc`). The parent forks at the
-/// moment the batch's shared state is frozen, so the child inherits a
-/// copy-on-write snapshot of everything the task closure references —
-/// per-slot backend clones, memo tables, quarantine copies — without any
-/// serialization of inputs. The child then serves "run task N, attempt
-/// A" frames over its pipe pair, executes the TaskFn, and replies with a
-/// result frame; a detached heartbeat thread emits liveness frames so
-/// the supervisor can tell "busy" from "gone".
+/// One forked worker subprocess (`peak::proc`). A worker lives until its
+/// supervisor retires it: it serves "run task N, attempt A, input I"
+/// frames over its pipe pair, executes the TaskFn, and replies with one
+/// result frame per task. Everything a task reads besides what the
+/// worker inherited at fork time travels in its input string, so a
+/// worker forked in one round serves the tasks of later rounds too. A
+/// worker starts no thread (a child of a multi-threaded parent may not);
+/// the supervisor learns of its death from pipe EOF and `waitpid`, and
+/// of a stalled task from its per-dispatch deadline.
 ///
 /// The child applies setrlimit caps before serving: RLIMIT_CPU turns a
 /// runaway spin into SIGXCPU (classified as a timeout), RLIMIT_AS turns
 /// runaway allocation into std::bad_alloc, which the serve loop converts
-/// to a dedicated exit code (classified as OOM). RLIMIT_AS is used
-/// rather than RLIMIT_RSS because the latter is a no-op on Linux. The
-/// child never touches the journal, the rating cache, or any other
-/// shared file, and leaves via _exit() so no parent-registered atexit
-/// handler or static destructor runs twice.
+/// to a dedicated exit code (classified as OOM). RLIMIT_CPU bounds the
+/// CPU time of the worker's whole life, every task it serves included.
+/// RLIMIT_AS is used rather than RLIMIT_RSS because the latter is a
+/// no-op on Linux. The child never touches the journal, the rating
+/// cache, or any other shared file, and leaves via _exit() so no
+/// parent-registered atexit handler or static destructor runs twice.
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -39,11 +40,11 @@ struct ResourceLimits {
 };
 
 /// The work a child executes: returns the serialized result payload for
-/// (task index, process attempt). Must not throw — escapes are
-/// converted to the error exit codes below and the whole attempt is
-/// charged as a failure.
-using TaskFn =
-    std::function<std::string(std::size_t task, std::size_t attempt)>;
+/// (task index, process attempt, the task's input). Must not throw —
+/// escapes are converted to the error exit codes below and the whole
+/// attempt is charged as a failure.
+using TaskFn = std::function<std::string(
+    std::size_t task, std::size_t attempt, const std::string& input)>;
 
 /// Child exit codes with classification meaning (avoid 0..2 and the
 /// 128+N signal range).
@@ -54,16 +55,11 @@ constexpr int kExitProtocol = 88;   ///< command pipe closed / corrupt
 /// Parent-side handle to one forked worker.
 class WorkerProcess {
 public:
-  struct Options {
-    ResourceLimits limits;
-    std::chrono::milliseconds heartbeat_interval{25};
-  };
-
   /// Fork a worker. The child closes every fd in `close_in_child`
-  /// (other workers' pipe ends), applies the limits, and serves frames;
-  /// it never returns. Returns nullptr if fork() failed.
+  /// (the other workers' pipe ends), applies the limits, and serves
+  /// frames; it never returns. Returns nullptr if fork() failed.
   static std::unique_ptr<WorkerProcess> spawn(
-      const TaskFn& fn, const Options& options,
+      const TaskFn& fn, const ResourceLimits& limits,
       const std::vector<int>& close_in_child);
 
   ~WorkerProcess();  ///< closes the parent-side fds (does not reap)
@@ -72,11 +68,15 @@ public:
   WorkerProcess& operator=(const WorkerProcess&) = delete;
 
   [[nodiscard]] pid_t pid() const { return pid_; }
-  /// Parent reads worker frames (results, heartbeats) here.
+  /// Parent reads worker frames (results) here.
   [[nodiscard]] int read_fd() const { return from_child_; }
+  /// Parent writes commands here.
+  [[nodiscard]] int write_fd() const { return to_child_; }
 
-  /// Dispatch one task; false when the pipe is broken (worker gone).
-  bool send_run(std::size_t task, std::size_t attempt);
+  /// Dispatch one task with its input; false when the pipe is broken
+  /// (worker gone).
+  bool send_run(std::size_t task, std::size_t attempt,
+                const std::string& input);
   /// Ask the child to exit cleanly.
   bool send_exit();
 

@@ -10,13 +10,17 @@
 /// scalar so the tuning driver can compare uniformly.
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace peak::rating {
 
 enum class Method { kCBR, kMBR, kRBR, kAVG, kWHL };
 
 const char* to_string(Method m);
+/// Inverse of to_string(); nullopt for any other name.
+std::optional<Method> parse_method(std::string_view name);
 
 struct Rating {
   double eval = 0.0;

@@ -21,6 +21,13 @@ const char* to_string(Method m) {
   return "?";
 }
 
+std::optional<Method> parse_method(std::string_view name) {
+  for (Method m : {Method::kCBR, Method::kMBR, Method::kRBR, Method::kAVG,
+                   Method::kWHL})
+    if (name == to_string(m)) return m;
+  return std::nullopt;
+}
+
 WindowedRater::WindowedRater(WindowPolicy policy)
     : policy_(policy) {}
 

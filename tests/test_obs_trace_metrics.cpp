@@ -387,6 +387,7 @@ TEST(Integration, DriverEmitsSpansWhenTracing) {
   EXPECT_TRUE(names.count("rate_batch"));
   EXPECT_TRUE(names.count("probe_batch"));
   EXPECT_TRUE(names.count("ref_eval"));
+  EXPECT_TRUE(names.count("transport"));
 }
 
 std::string arg(const TraceEvent& e, const std::string& key) {

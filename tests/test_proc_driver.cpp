@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -18,10 +21,50 @@
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "proc/worker_table.hpp"
+#include "support/shutdown.hpp"
 #include "workloads/workload.hpp"
 
 namespace peak::core {
 namespace {
+
+/// Rates two probe rounds of four single-flag flips against the start
+/// config and calls `between` after the first; every R lands in the
+/// result's events, so the TuningOutcome carries each rating bit-exactly.
+class TwoRounds : public search::SearchAlgorithm {
+public:
+  explicit TwoRounds(std::function<void()> between)
+      : between_(std::move(between)) {}
+
+  search::SearchResult run(const search::OptimizationSpace&,
+                           search::ConfigEvaluator& evaluator,
+                           const search::FlagConfig& start) override {
+    search::SearchResult result;
+    result.best = start;
+    for (std::size_t round = 0; round < 2; ++round) {
+      if (round == 1) between_();
+      std::vector<search::FlagConfig> candidates;
+      for (std::size_t f = 4 * round; f < 4 * round + 4; ++f)
+        candidates.push_back(start.with(f, !start.enabled(f)));
+      for (double r : evaluator.rate_batch(start, candidates)) {
+        search::SearchEvent ev;
+        ev.round = round;
+        ev.ratio = r;
+        result.events.push_back(ev);
+        ++result.configs_evaluated;
+      }
+    }
+    return result;
+  }
+  [[nodiscard]] std::string name() const override { return "two-rounds"; }
+
+private:
+  std::function<void()> between_;
+};
+
+/// True when `pid`, once a child of this process, has been reaped.
+bool reaped(pid_t pid) {
+  return ::waitpid(pid, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
 
 /// Acceptance tests of the out-of-process rating sandbox: for every
 /// --isolate-workers N >= 1 the TuningOutcome and journal bytes must be
@@ -384,6 +427,87 @@ TEST_F(ProcDriverTest, WorkerTablePublishesFleetState) {
   const std::string json = proc::WorkerTable::global().json();
   EXPECT_NE(json.find("\"workers\":["), std::string::npos);
   EXPECT_NE(json.find("\"tasks_done\":"), std::string::npos);
+}
+
+TEST_F(ProcDriverTest, ForksAtMostIsolateWorkersPerTune) {
+  // Workers live for one tune(method): every round after the first
+  // reuses them, so a fault-free tune forks no more than N.
+  Setup s = setup("SWIM");
+  for (unsigned workers : {2u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    DriverOptions threaded;
+    threaded.search_threads = workers;
+    const TuningOutcome baseline = tune(s, threaded, rating::Method::kCBR);
+
+    DriverOptions isolated;
+    isolated.isolate_workers = workers;
+    const std::uint64_t spawned = counter("proc.workers.spawned");
+    EXPECT_EQ(tune(s, isolated, rating::Method::kCBR), baseline);
+    EXPECT_GE(counter("proc.workers.spawned") - spawned, 1u);
+    EXPECT_LE(counter("proc.workers.spawned") - spawned, workers);
+  }
+}
+
+TEST_F(ProcDriverTest, WorkerKilledWhileIdleIsReplacedWithoutACharge) {
+  Setup s = setup("SWIM");
+  DriverOptions threaded;
+  threaded.search_threads = 2;
+  threaded.search_algorithm = std::make_shared<TwoRounds>([] {});
+  const TuningOutcome baseline = tune(s, threaded, rating::Method::kCBR);
+
+  // Between the rounds both workers idle; one dies by SIGKILL, and the
+  // test waits until it is a zombie without reaping it, so the second
+  // round finds it dead before dispatching to it.
+  int kills = 0;
+  DriverOptions isolated;
+  isolated.isolate_workers = 2;
+  isolated.search_algorithm = std::make_shared<TwoRounds>([&kills] {
+    const std::vector<pid_t> pids = proc::WorkerTable::global().live_pids();
+    ASSERT_EQ(pids.size(), 2u);
+    ASSERT_EQ(::kill(pids.front(), SIGKILL), 0);
+    siginfo_t info{};
+    ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(pids.front()), &info,
+                       WEXITED | WNOWAIT),
+              0);
+    ++kills;
+  });
+  const std::uint64_t spawned = counter("proc.workers.spawned");
+  const std::uint64_t respawned = counter("proc.workers.respawned");
+  const std::uint64_t retried = counter("proc.tasks.retried");
+  EXPECT_EQ(tune(s, isolated, rating::Method::kCBR), baseline);
+  EXPECT_EQ(kills, 1);
+  EXPECT_EQ(counter("proc.workers.spawned") - spawned, 3u);
+  EXPECT_EQ(counter("proc.workers.respawned") - respawned, 1u);
+  EXPECT_EQ(counter("proc.tasks.retried"), retried);
+}
+
+TEST_F(ProcDriverTest, NoWorkerOutlivesItsTune) {
+  Setup s = setup("SWIM");
+  std::vector<pid_t> pids;
+  const auto record = [&pids] {
+    for (pid_t pid : proc::WorkerTable::global().live_pids())
+      pids.push_back(pid);
+  };
+  DriverOptions isolated;
+  isolated.isolate_workers = 2;
+  isolated.search_algorithm = std::make_shared<TwoRounds>(record);
+  (void)tune(s, isolated, rating::Method::kCBR);
+  ASSERT_EQ(pids.size(), 2u);
+  for (pid_t pid : pids) EXPECT_TRUE(reaped(pid)) << pid;
+
+  // A shutdown request between rounds unwinds the tune, and the workers
+  // are retired on the way out.
+  pids.clear();
+  support::reset_shutdown();
+  isolated.search_algorithm = std::make_shared<TwoRounds>([&] {
+    record();
+    support::request_shutdown();
+  });
+  EXPECT_THROW((void)tune(s, isolated, rating::Method::kCBR),
+               support::ShutdownRequested);
+  support::reset_shutdown();
+  ASSERT_EQ(pids.size(), 2u);
+  for (pid_t pid : pids) EXPECT_TRUE(reaped(pid)) << pid;
 }
 
 }  // namespace

@@ -17,8 +17,10 @@ namespace {
 
 /// The RatingDelta codec reads bytes at four trust boundaries — the
 /// rating-cache file, the journal, the worker pipe and the TCP result —
-/// so its contract is checked here once for all of them: an exact round
-/// trip, and no crash (or sanitizer report) on damaged input.
+/// and the MemberTask codec at two (the worker's run frame and the TCP
+/// task frame), so their contracts are checked here once for all of
+/// them: an exact round trip, and no crash (or sanitizer report) on
+/// damaged input.
 
 constexpr fault::FaultKind kAllKinds[] = {
     fault::FaultKind::kNone,        fault::FaultKind::kCrash,
@@ -203,6 +205,92 @@ TEST(RobustRatingDelta, EverySingleBitFlipDecodesOrThrows) {
     }
   // Both outcomes occur: flips inside hex digits or key strings still
   // parse, flips in the structure do not.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+MemberTask full_task() {
+  MemberTask t;
+  t.method = rating::Method::kMBR;
+  t.base_key = "0110";
+  t.cfg_key = "1110";
+  t.prologue = true;
+  t.seed = std::numeric_limits<std::uint64_t>::max();
+  t.memo = {{"0110", kSubnormal}, {"1110", kNegZero}, {"1111", kMax}};
+  std::uint64_t n = 1;
+  for (fault::FaultKind kind : kAllKinds) {
+    t.faults.push_back({n % 2 == 0 ? t.base_key : t.cfg_key, kind, n,
+                        n % 3 == 0});
+    ++n;
+  }
+  t.validated = true;
+  return t;
+}
+
+/// Decode `text` as a MemberTask; true when it decoded, false when it was
+/// rejected with support::CheckError. Any other exception fails the test.
+bool task_decodes(const std::string& text) {
+  try {
+    (void)MemberTask::decode(jsonl::JsonParser(text).parse());
+    return true;
+  } catch (const support::CheckError&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "rejected with another exception: " << e.what()
+                  << " for " << text;
+    return false;
+  }
+}
+
+TEST(RobustMemberTask, RoundTripIsBitExactForEveryField) {
+  const MemberTask t = full_task();
+  const MemberTask back =
+      MemberTask::decode(jsonl::JsonParser(t.encode()).parse());
+  EXPECT_EQ(back, t);
+  ASSERT_EQ(back.memo.size(), t.memo.size());
+  for (std::size_t i = 0; i < t.memo.size(); ++i)
+    EXPECT_EQ(bits(back.memo[i].second), bits(t.memo[i].second)) << i;
+  // The smallest task, too: empty lists stay empty.
+  EXPECT_EQ(MemberTask::decode(jsonl::JsonParser(MemberTask{}.encode())
+                                   .parse()),
+            MemberTask{});
+}
+
+TEST(RobustMemberTask, RefusesUnknownNamesAndKeyAlphabets) {
+  const std::string line = full_task().encode();
+  const auto replaced = [&line](const std::string& from,
+                                const std::string& to) {
+    std::string out = line;
+    out.replace(out.find(from), from.size(), to);
+    return out;
+  };
+  EXPECT_TRUE(task_decodes(line));
+  EXPECT_FALSE(task_decodes(replaced("\"MBR\"", "\"XBR\"")));
+  EXPECT_FALSE(task_decodes(replaced("hard-crash", "hard-crush")));
+  EXPECT_FALSE(task_decodes(replaced("\"base\":\"0110\"",
+                                     "\"base\":\"0112\"")));
+  EXPECT_FALSE(task_decodes(replaced("\"cfg\":\"1110\"",
+                                     "\"cfg\":\"11x0\"")));
+}
+
+TEST(RobustMemberTask, EveryPrefixIsRejectedWithCheckError) {
+  const std::string line = full_task().encode();
+  ASSERT_TRUE(task_decodes(line));
+  for (std::size_t n = 0; n < line.size(); ++n)
+    EXPECT_FALSE(task_decodes(line.substr(0, n))) << "prefix " << n;
+}
+
+TEST(RobustMemberTask, EverySingleBitFlipDecodesOrThrowsCheckError) {
+  const std::string line = full_task().encode();
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < line.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = line;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(line[i]) ^
+                                     (1u << bit));
+      (task_decodes(flipped) ? decoded : rejected) += 1;
+    }
   EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
 }

@@ -201,7 +201,6 @@ ProgressModel sample_model() {
   m.workers.spawned = 4;
   m.workers.respawned = 1;
   m.workers.killed = 1;
-  m.workers.heartbeat_gaps = 2;
   return m;
 }
 

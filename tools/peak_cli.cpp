@@ -117,14 +117,6 @@ struct Args {
   }
 };
 
-std::optional<rating::Method> parse_method(const std::string& name) {
-  for (rating::Method m :
-       {rating::Method::kCBR, rating::Method::kMBR, rating::Method::kRBR,
-        rating::Method::kAVG, rating::Method::kWHL})
-    if (name == rating::to_string(m)) return m;
-  return std::nullopt;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: peak <list|analyze|tune|sweep|apply|monitor"
@@ -804,7 +796,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--method") {
       const char* v = next();
       if (!v) return usage();
-      args.method = parse_method(v);
+      args.method = rating::parse_method(v);
       if (!args.method) return usage();
     } else if (arg == "--save") {
       const char* v = next();
